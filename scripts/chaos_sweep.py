@@ -31,7 +31,6 @@ import pathlib
 import sys
 
 from repro.parallel import ChaosCampaignJob, merge_chaos, run_suite
-from repro.sim import idle_skip_default
 
 
 def sweep(n_seeds: int, outdir: pathlib.Path, out_name: str,
@@ -50,7 +49,6 @@ def sweep(n_seeds: int, outdir: pathlib.Path, out_name: str,
     results = run_suite(job_list, n_jobs=jobs)
 
     header = {
-        "idle_skip": idle_skip_default(),
         "inject_regression": inject_regression,
         "seeds": list(range(n_seeds)),
     }

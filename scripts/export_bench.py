@@ -11,7 +11,6 @@ JSON file in the repository root so successive runs can be diffed:
     python scripts/export_bench.py --jobs 8       # process-pool fan-out
     python scripts/export_bench.py --out my.json  # explicit output path
     python scripts/export_bench.py --warm-start   # cold-vs-warm columns
-    REPRO_IDLE_SKIP=0 python scripts/export_bench.py fig11   # A/B runs
 
 ``--jobs N`` fans the suite over a persistent worker pool
 (:mod:`repro.parallel`); experiments that declare the shard protocol
@@ -27,7 +26,6 @@ Output shape::
       "git_commit": "<rev-parse HEAD>",
       "timestamp": "<ISO-8601 UTC>",
       "jobs": 8,
-      "idle_skip": true,
       "seed": 0,
       "quick": true,
       "experiments": {
@@ -84,7 +82,6 @@ from repro.config.profile import HardwareProfile, spec_to_dict
 from repro.experiments import ALL_EXPERIMENTS
 from repro.parallel import (ExperimentJob, ExperimentShardJob, is_shardable,
                             merge_bench, run_suite)
-from repro.sim import idle_skip_default
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -201,7 +198,6 @@ def run(names=None, seed: int = 0, quick: bool = True, outdir: str = ".",
         "git_commit": _git_commit(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "jobs": jobs,
-        "idle_skip": idle_skip_default(),
         "seed": seed,
         "quick": quick,
         "queue_config": _queue_config(),
@@ -314,7 +310,6 @@ def run_warm_start(names=None, seed: int = 0, quick: bool = True,
         "git_commit": _git_commit(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "jobs": jobs,
-        "idle_skip": idle_skip_default(),
         "seed": seed,
         "quick": quick,
         "queue_config": _queue_config(),

@@ -4,10 +4,12 @@
 Wall-clock time is too noisy to gate a perf regression in CI, but the
 DES kernel's event counters are exact: for a fixed seed, ``fig9`` and
 ``fig11`` schedule a deterministic number of events, and the share
-taken by the single-waiter fast lane (``fast_path_hits``) plus the
-doorbell idle-skip savings are the quantities the PR 1 optimizations
-bought. ``tests/perf/test_event_golden.py`` pins all of them, in both
-idle-skip modes, to the numbers recorded here.
+taken by the single-waiter fast lane (``fast_path_hits``) is the
+quantity the fast-lane optimization bought. ``mq_ablation`` is the
+golden experiment whose poll loops park on doorbells, so it is recorded
+in both idle-skip modes: the busy-polling count pins what the doorbell
+saves. ``tests/perf/test_event_golden.py`` pins all of them to the
+numbers recorded here.
 
 One command refreshes the golden file after an intentional change:
 
@@ -20,26 +22,40 @@ import json
 import pathlib
 
 from repro.parallel import ExperimentJob, execute
+from repro.sim import set_idle_skip_default
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parent.parent
                / "tests" / "perf" / "golden_event_counts.json")
-GOLDEN_EXPERIMENTS = ("fig9", "fig11")
+#: Experiment -> idle-skip modes recorded for it.
+GOLDEN_MODES = {
+    "fig9": (True,),
+    "fig11": (True,),
+    "mq_ablation": (True, False),
+}
 GOLDEN_COUNTERS = ("events_popped", "fast_path_hits")
 
 
+def mode_name(idle_skip: bool) -> str:
+    return "idle_skip_on" if idle_skip else "idle_skip_off"
+
+
+def count_events(experiment: str, idle_skip: bool) -> dict:
+    """Golden counters of one seed-0 quick run in the given mode."""
+    old = set_idle_skip_default(idle_skip)
+    try:
+        result = execute(ExperimentJob(experiment, seed=0, quick=True))
+    finally:
+        set_idle_skip_default(old)
+    assert result.payload.passed, f"{experiment} failed its checks"
+    return {counter: result.events[counter] for counter in GOLDEN_COUNTERS}
+
+
 def collect() -> dict:
-    golden = {}
-    for experiment in GOLDEN_EXPERIMENTS:
-        golden[experiment] = {}
-        for idle_skip in (True, False):
-            result = execute(ExperimentJob(experiment, seed=0, quick=True,
-                                           idle_skip=idle_skip))
-            mode = "idle_skip_on" if idle_skip else "idle_skip_off"
-            golden[experiment][mode] = {
-                counter: result.events[counter]
-                for counter in GOLDEN_COUNTERS
-            }
-    return golden
+    return {
+        experiment: {mode_name(idle_skip): count_events(experiment, idle_skip)
+                     for idle_skip in modes}
+        for experiment, modes in GOLDEN_MODES.items()
+    }
 
 
 def main() -> int:

@@ -23,7 +23,6 @@ import pathlib
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.parallel import SeedSweepJob, merge_sweep, run_suite
-from repro.sim import idle_skip_default
 
 
 def parse_seed_range(text: str):
@@ -46,7 +45,6 @@ def sweep(experiment: str, seeds, quick: bool = True, jobs: int = 1,
     report = merge_sweep(job_list, results)
     report_header = {
         "experiment": experiment,
-        "idle_skip": idle_skip_default(),
         "quick": quick,
         "profile": profile,
         "seeds": [job.seed for job in job_list],

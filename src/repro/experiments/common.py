@@ -336,8 +336,9 @@ def boot_testbed(bed: Testbed, image_name: str = DEFAULT_WARM_IMAGE) -> Testbed:
     Afterwards the simulation is drained to quiescence — every poll
     loop parked — which is the precondition for
     :func:`snapshot_testbed`. (Draining requires doorbell idle-skip;
-    under ``REPRO_IDLE_SKIP=0`` busy-poll loops never quiesce, so the
-    drain is skipped and the bed cannot be snapshot.)
+    when a test selects busy polling with ``set_idle_skip_default(False)``
+    the loops never quiesce, so the drain is skipped and the bed cannot
+    be snapshot.)
     """
     image = VmImage(name=image_name)
     for hive in bed.hives:
@@ -371,7 +372,7 @@ def restore_testbed(snapshot: TestbedSnapshot) -> Testbed:
     """
     if not idle_skip_default():
         raise SnapshotError(
-            "warm start requires doorbell idle-skip (REPRO_IDLE_SKIP=1): "
+            "warm start requires doorbell idle-skip: "
             "busy-poll loops never reach the quiescent point a restore "
             "needs")
     bed = TestbedBuilder.from_config(snapshot.config).build()

@@ -4,7 +4,7 @@ Every job is a frozen dataclass that travels to a worker process over a
 pipe, so it must stay picklable: ids and parameters only, never live
 simulators, callables, or open resources. A job names *what* to run
 (``experiment``/``seed``) plus the knobs the serial front-ends expose
-(``quick``, ``idle_skip``, ``profile``); the worker resolves the actual
+(``quick``, ``profile``); the worker resolves the actual
 runner from :data:`repro.experiments.ALL_EXPERIMENTS` at execution
 time.
 
@@ -110,7 +110,6 @@ class ExperimentJob:
     experiment: str
     seed: int = 0
     quick: bool = True
-    idle_skip: Optional[bool] = None
     profile: Optional[str] = None
     mode: Optional[str] = None
     warm_snapshots: Optional[tuple] = None
@@ -149,7 +148,6 @@ class ExperimentShardJob:
     shard: int
     seed: int = 0
     quick: bool = True
-    idle_skip: Optional[bool] = None
 
     @property
     def key(self) -> str:
@@ -213,7 +211,6 @@ class RegionShardJob:
     occupancy: float = 0.8
     mean_lifetime_s: float = 2.0
     guests: str = "arrays"
-    idle_skip: Optional[bool] = None
 
     @property
     def key(self) -> str:
@@ -312,7 +309,6 @@ class ChaosCampaignJob:
     seed: int
     inject_regression: bool = False
     shrink_runs: int = 120
-    idle_skip: Optional[bool] = None
 
     @property
     def key(self) -> str:
@@ -367,7 +363,6 @@ class SeedSweepJob:
     experiment: str
     seed: int
     quick: bool = True
-    idle_skip: Optional[bool] = None
     profile: Optional[str] = None
 
     @property
@@ -412,19 +407,11 @@ def execute(job) -> JobResult:
     path, which is what makes serial and parallel runs comparable: the
     events in every :class:`JobResult` are a clean per-job delta.
     """
-    from repro.sim import (global_event_totals, idle_skip_default,
-                           reset_global_stats, set_idle_skip_default)
+    from repro.sim import global_event_totals, reset_global_stats
 
-    previous = idle_skip_default()
-    if job.idle_skip is not None:
-        set_idle_skip_default(job.idle_skip)
     reset_global_stats()
     start = time.perf_counter()
-    try:
-        payload = job.run()
-    finally:
-        if job.idle_skip is not None:
-            set_idle_skip_default(previous)
+    payload = job.run()
     wall = time.perf_counter() - start
     return JobResult(key=job.key, payload=payload,
                      events=global_event_totals(), wall_s=wall)

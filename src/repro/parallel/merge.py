@@ -99,10 +99,8 @@ def bench_diff(a: dict, b: dict,
     no slower than X%" — the regression gate
     ``scripts/diff_bench.py --tolerance`` exposes.
 
-    ``ignore_keys`` adds report keys to the ignored set. The CI
-    heap-vs-calendar gate passes ``bucket_overflows`` — the one
-    counter that legitimately depends on the queue implementation
-    (heaps have no buckets) — so everything else must still match.
+    ``ignore_keys`` adds report keys to the ignored set, e.g. a
+    header field one side of the comparison predates.
 
     ``wall_floor_s`` is an absolute noise floor for the tolerance
     comparison: wall differences below it always pass. A relative

@@ -17,7 +17,7 @@ from repro.sim.core import (
     reset_global_stats,
 )
 from repro.sim.doorbell import Doorbell, idle_skip_default, set_idle_skip_default
-from repro.sim.queue import CalendarQueue, HeapQueue, default_queue_kind, make_queue
+from repro.sim.queue import CalendarQueue
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store, TokenBucket
@@ -40,10 +40,7 @@ __all__ = [
     "QuiescenceError",
     "KernelSnapshot",
     "SnapshotError",
-    "HeapQueue",
     "CalendarQueue",
-    "make_queue",
-    "default_queue_kind",
     "Doorbell",
     "idle_skip_default",
     "set_idle_skip_default",

@@ -43,7 +43,7 @@ from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.events import PENDING, PROCESSED, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.queue import make_queue
+from repro.sim.queue import CalendarQueue
 from repro.sim.rng import RandomStreams
 from repro.sim.snapshot import KernelSnapshot, SnapshotError
 
@@ -255,17 +255,11 @@ class Simulator:
         event through the generic callback path. Observable behavior is
         identical (the property tests assert so); the flag exists as
         the reference baseline for those tests.
-    queue:
-        Event-queue implementation: ``None`` (process default, see
-        ``REPRO_QUEUE``), a kind string (``"calendar"``/``"heap"``), or
-        a queue instance. All implementations share the exact pop-order
-        contract — ascending ``(when, insertion counter)`` — so the
-        choice is invisible to simulation results.
     """
 
-    def __init__(self, seed: int = 0, fast_path: bool = True, queue=None):
+    def __init__(self, seed: int = 0, fast_path: bool = True):
         self._now = 0.0
-        self._queue = make_queue(queue)
+        self._queue = CalendarQueue()
         self._counter = itertools.count()
         self.streams = RandomStreams(seed)
         self._active_process: Optional[Process] = None
@@ -380,21 +374,14 @@ class Simulator:
         :meth:`_schedule_at` in a loop — same pop order, same
         counters — but homogeneous floods (the vectorized churn
         engine's batch wakeups) pay one bulk ``push_batch`` instead of
-        a Python-level push per event. Falls back to the loop when the
-        queue implementation lacks ``push_batch``.
+        a Python-level push per event.
         """
         if len(whens) != len(events):
             raise ValueError(
                 f"whens/events length mismatch: {len(whens)} != {len(events)}")
         counter = self._counter
-        push_batch = getattr(self._queue, "push_batch", None)
-        if push_batch is None:
-            push = self._queue.push
-            for when, event in zip(whens, events):
-                push(float(when), next(counter), event)
-            return
-        push_batch([(float(when), next(counter), event)
-                    for when, event in zip(whens, events)])
+        self._queue.push_batch([(float(when), next(counter), event)
+                                for when, event in zip(whens, events)])
 
     # -- main loop ----------------------------------------------------------
     def _dispatch(self, event: Event) -> None:

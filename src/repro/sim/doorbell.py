@@ -27,26 +27,21 @@ the producer posted, the conservative reading of that race (and, for
 chains of short producer timeouts, the one the event heap's FIFO
 tie-break produces).
 
-The module-level default lets the equivalence gate flip every loop at
-once: ``set_idle_skip_default(False)`` restores busy polling, and the
-``REPRO_IDLE_SKIP=0`` environment variable does the same for whole
-processes (scripts/export_bench.py uses it for A/B runs).
+Idle-skip is always on in shipped runs. Busy polling stays as the
+reference the equivalence tests compare against: a test flips every
+loop at once with ``set_idle_skip_default(False)`` and restores the
+default afterwards.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.sim.events import PENDING, TRIGGERED, Event
 
 __all__ = ["Doorbell", "idle_skip_default", "set_idle_skip_default"]
 
-_IDLE_SKIP_DEFAULT = os.environ.get("REPRO_IDLE_SKIP", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
+_IDLE_SKIP_DEFAULT = True
 
 
 def idle_skip_default() -> bool:

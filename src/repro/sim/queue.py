@@ -1,34 +1,24 @@
-"""Pluggable event queues for the simulation kernel.
+"""The simulation kernel's event queue.
 
 The kernel's ordering contract is exact: entries are ``(when, counter,
 event)`` tuples and must pop in ascending ``(when, counter)`` order.
 ``counter`` values are unique (the simulator assigns them from a single
 monotone counter at push time), so the ``event`` field never takes part
-in a comparison. Any queue implementation that honors the contract is
-observably identical to any other — the property tests in
-``tests/sim/test_queue.py`` drive random schedules through every
-implementation and require bit-identical pop sequences.
+in a comparison. The property tests in ``tests/sim/test_queue.py``
+drive random schedules through :class:`CalendarQueue` and a plain
+``heapq`` oracle and require bit-identical pop sequences.
 
-Two implementations ship:
+:class:`CalendarQueue` is a bucketed ("calendar") queue tuned for this
+workload's dense, near-monotonic timestamps. Events land in fixed-width
+time buckets (default one poll-grid microsecond times a small
+multiple); each bucket is a tiny heap, so intra-bucket ordering is
+cheap, and bucket selection is O(1) for the overwhelmingly common
+"schedule within the current millisecond" case. Entries beyond the
+bucket horizon (long timeouts: EFI boot delays, watchdog budgets) go to
+an overflow heap and are counted in ``overflows`` — the observability
+counter exported as ``bucket_overflows``.
 
-* :class:`HeapQueue` — the original binary heap (``heapq``), kept as
-  the reference implementation.
-* :class:`CalendarQueue` — a bucketed ("calendar") queue tuned for this
-  workload's dense, near-monotonic timestamps. Events land in fixed-
-  width time buckets (default one poll-grid microsecond times a small
-  multiple); each bucket is a tiny heap, so intra-bucket ordering is
-  cheap, and bucket selection is O(1) for the overwhelmingly common
-  "schedule within the current millisecond" case. Entries beyond the
-  bucket horizon (long timeouts: EFI boot delays, watchdog budgets) go
-  to an overflow heap and are counted in ``overflows`` — the
-  observability counter exported as ``bucket_overflows``.
-
-Selection: ``Simulator(queue=...)`` takes a kind string or a queue
-instance; the process-wide default is :data:`DEFAULT_QUEUE_KIND`,
-overridable with the ``REPRO_QUEUE`` environment variable (CI uses it
-for the heap-vs-calendar equivalence gate).
-
-Every queue also keeps depth/traffic counters (``pushes``, ``pops``,
+The queue also keeps depth/traffic counters (``pushes``, ``pops``,
 ``len_max``, ``len_sum``, ``overflows``) that the simulator surfaces
 through :class:`~repro.sim.core.EventStats`.
 
@@ -36,116 +26,21 @@ Batch traffic (DESIGN.md §14): homogeneous event floods — the
 vectorized churn engine's per-batch wakeups, dense poll grids — go
 through ``push_batch``/``pop_batch``. Both are *observably identical*
 to the equivalent sequence of ``push``/``pop`` calls (same pop order,
-same counters; the property tests in ``tests/sim/test_queue.py`` check
-this on random schedules) but skip per-call overhead: the heap variant
-bulk-loads with ``heapify`` when the batch rivals the resident heap,
-and both variants hoist attribute lookups out of the loop.
+same counters; the property tests check this on random schedules) but
+hoist attribute lookups out of the per-entry loop.
 """
 
 from __future__ import annotations
 
-import os
-from heapq import heapify, heappop, heappush, heappushpop
+from heapq import heappop, heappush, heappushpop
 from typing import Iterable, List, Tuple
 
-__all__ = [
-    "HeapQueue",
-    "CalendarQueue",
-    "make_queue",
-    "default_queue_kind",
-    "QUEUE_KINDS",
-]
+__all__ = ["CalendarQueue"]
 
 _INF = float("inf")
 
-#: Entry layout shared by every implementation.
+#: Queue entry layout: ``(when, insertion counter, event)``.
 Entry = Tuple[float, int, object]
-
-
-def default_queue_kind() -> str:
-    """Process-wide default queue kind (``REPRO_QUEUE`` env override)."""
-    kind = os.environ.get("REPRO_QUEUE", "calendar").strip().lower()
-    return kind if kind in QUEUE_KINDS else "calendar"
-
-
-class HeapQueue:
-    """Reference event queue: a single binary heap."""
-
-    kind = "heap"
-
-    __slots__ = ("_heap", "pushes", "pops", "len_max", "len_sum", "overflows")
-
-    def __init__(self):
-        self._heap: List[Entry] = []
-        self.pushes = 0
-        self.pops = 0
-        self.len_max = 0
-        self.len_sum = 0
-        self.overflows = 0  # heaps have no buckets; stays 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, when: float, counter: int, event) -> None:
-        heappush(self._heap, (when, counter, event))
-        self.pushes += 1
-        n = len(self._heap)
-        if n > self.len_max:
-            self.len_max = n
-
-    def pop(self) -> Entry:
-        heap = self._heap
-        if not heap:
-            # Raise before touching any counter: the kernel's drain
-            # loop pops until IndexError, and a failed pop must not
-            # perturb the traffic/depth statistics.
-            raise IndexError("pop from an empty event queue")
-        self.len_sum += len(heap)
-        self.pops += 1
-        return heappop(heap)
-
-    def peek_when(self) -> float:
-        heap = self._heap
-        return heap[0][0] if heap else _INF
-
-    def push_batch(self, entries: Iterable[Entry]) -> None:
-        """Push many entries; equivalent to ``push`` in a loop.
-
-        When the batch is large relative to the resident heap, bulk
-        ``extend`` + ``heapify`` beats n sift-ups; small batches keep
-        the incremental path so a resident million-entry heap is not
-        rebuilt for a handful of pushes.
-        """
-        entries = list(entries)
-        if not entries:
-            return
-        heap = self._heap
-        if len(entries) * 4 >= len(heap):
-            heap.extend(entries)
-            heapify(heap)
-        else:
-            for entry in entries:
-                heappush(heap, entry)
-        self.pushes += len(entries)
-        n = len(heap)
-        if n > self.len_max:
-            self.len_max = n
-
-    def pop_batch(self) -> List[Entry]:
-        """Pop every entry sharing the earliest ``when``, in order."""
-        heap = self._heap
-        if not heap:
-            raise IndexError("pop from an empty event queue")
-        n = len(heap)
-        when = heap[0][0]
-        out: List[Entry] = []
-        while heap and heap[0][0] == when:
-            out.append(heappop(heap))
-        k = len(out)
-        self.pops += k
-        # Sequential pops would have charged depths n, n-1, ..., n-k+1.
-        self.len_sum += k * n - (k * (k - 1)) // 2
-        return out
 
 
 class CalendarQueue:
@@ -164,13 +59,11 @@ class CalendarQueue:
       ``pop``/``peek_when`` via a single head comparison, so far-future
       events cost one comparison instead of thousands of empty buckets.
 
-    Pop order is identical to :class:`HeapQueue`: within a bucket the
+    Pop order is ascending ``(when, counter)``: within a bucket the
     per-bucket heap orders by ``(when, counter)``; across buckets the
     tick index is monotone in ``when``; the overflow head is merged by
     direct entry comparison.
     """
-
-    kind = "calendar"
 
     #: Default bucket width: 4 poll-grid microseconds. Swept empirically
     #: on the figure experiments (queue depths 8-65 entries spread over
@@ -280,7 +173,9 @@ class CalendarQueue:
 
     def pop(self) -> Entry:
         if not self._len:
-            # Same contract as HeapQueue.pop: raise without side effects.
+            # Raise before touching any counter: the kernel's drain
+            # loop pops until IndexError, and a failed pop must not
+            # perturb the traffic/depth statistics.
             raise IndexError("pop from an empty event queue")
         self.len_sum += self._len
         self.pops += 1
@@ -346,30 +241,3 @@ class CalendarQueue:
             out.append(self.pop())
         return out
 
-
-QUEUE_KINDS = {
-    "heap": HeapQueue,
-    "calendar": CalendarQueue,
-}
-
-
-def make_queue(kind=None):
-    """Build an event queue.
-
-    ``kind`` may be ``None`` (use :func:`default_queue_kind`), a kind
-    string, or an already-constructed queue instance (returned as-is,
-    so tests can inject tuned configurations).
-    """
-    if kind is None:
-        kind = default_queue_kind()
-    if isinstance(kind, str):
-        try:
-            return QUEUE_KINDS[kind]()
-        except KeyError:
-            raise ValueError(
-                f"unknown queue kind {kind!r}; expected one of "
-                f"{sorted(QUEUE_KINDS)}"
-            ) from None
-    if hasattr(kind, "push") and hasattr(kind, "pop") and hasattr(kind, "peek_when"):
-        return kind
-    raise TypeError(f"queue must be a kind string or queue instance, got {kind!r}")

@@ -5,7 +5,7 @@ These are the strongest guarantees in the faults subsystem:
 * identical runs are bit-identical;
 * constructing the full fault machinery with an **empty** plan is
   bit-identical to never constructing it (records *and* final clock);
-* flipping ``REPRO_IDLE_SKIP`` changes poll mechanics only — a crash
+* flipping doorbell idle-skip changes poll mechanics only — a crash
   scenario produces identical records, restarts, and clocks either way;
 * without a supervisor the retry budget exhausts and requests are
   reported lost, never silently dropped.
@@ -102,7 +102,7 @@ class TestDeterminism:
 
 
 class TestIdleSkipEquivalence:
-    """REPRO_IDLE_SKIP must change event counts, never results."""
+    """Idle-skip must change event counts, never results."""
 
     def _crash_run(self, idle_skip):
         prior = set_idle_skip_default(idle_skip)

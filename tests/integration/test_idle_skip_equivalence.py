@@ -4,15 +4,19 @@ The doorbell quantizes wakeups onto the exact poll grid a busy-polling
 loop would have used, so flipping idle-skip off (the reference
 busy-poll behavior) must change *nothing observable*: same boot
 records, same final clock, same RNG consumption — only the event count
-moves. These tests run the two full-fidelity boot flows — the only
-workloads in the repository that exercise standing poll loops — both
-ways and require identical outputs.
+moves. These tests run the two full-fidelity boot flows, a chaos
+campaign and the multi-queue ablation both ways and require identical
+outputs. Busy polling exists only as this reference: shipped runs
+always idle-skip, and only tests select busy polling, through
+``set_idle_skip_default``.
 """
 
 import pytest
 
+from repro.chaos import CampaignRunner
 from repro.core import VirtServer, vm_boot_via_rings
 from repro.core.server import BmHiveServer
+from repro.experiments import mq_ablation
 from repro.guest import VmImage
 from repro.sim import Simulator, set_idle_skip_default
 
@@ -40,17 +44,24 @@ def _vm_boot(seed):
     return sim, (record, stats)
 
 
+def _both_modes(fn):
+    """``(fn() with idle-skip, fn() busy-polling)``; restores the default."""
+    old = set_idle_skip_default(True)
+    try:
+        skipped = fn()
+        set_idle_skip_default(False)
+        polled = fn()
+    finally:
+        set_idle_skip_default(old)
+    return skipped, polled
+
+
 class TestSeedForSeedEquivalence:
     @pytest.mark.parametrize("boot", [_bm_boot, _vm_boot], ids=["bm", "vm"])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_boot_identical_with_and_without_idle_skip(self, boot, seed):
-        old = set_idle_skip_default(True)
-        try:
-            sim_on, result_on = boot(seed)
-            set_idle_skip_default(False)
-            sim_off, result_off = boot(seed)
-        finally:
-            set_idle_skip_default(old)
+        (sim_on, result_on), (sim_off, result_off) = _both_modes(
+            lambda: boot(seed))
         assert result_on == result_off
         assert sim_on.now == sim_off.now  # bit-identical, not approx
         # The whole point: the skip removes events, a lot of them.
@@ -61,11 +72,23 @@ class TestSeedForSeedEquivalence:
         assert sim_on.stats.idle_polls_skipped > 0
 
     def test_boot_works_under_either_default(self, idle_skip):
-        # Smoke both settings through the fixture (covers REPRO_IDLE_SKIP
-        # style process-wide configuration).
+        # Smoke both settings of the process-wide default.
         sim, record = _bm_boot(seed=3)
         assert record.boot_time_s > 0
         if idle_skip:
             assert sim.stats.doorbell_parks > 0
         else:
             assert sim.stats.idle_poll_events > 0
+
+
+class TestSubsystemEquivalence:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_chaos_campaign_report_identical(self, seed):
+        skipped, polled = _both_modes(
+            lambda: CampaignRunner().run(seed).report())
+        assert skipped == polled
+
+    def test_mq_ablation_rows_identical(self):
+        skipped, polled = _both_modes(
+            lambda: mq_ablation.run(seed=0, quick=True).rows)
+        assert skipped == polled

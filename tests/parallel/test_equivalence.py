@@ -82,8 +82,7 @@ class TestChaosSweepEquivalence:
         import json
 
         jobs = [ChaosCampaignJob(seed) for seed in range(2)]
-        header = {"idle_skip": True, "inject_regression": False,
-                  "seeds": [0, 1]}
+        header = {"inject_regression": False, "seeds": [0, 1]}
         serial, _, _ = merge_chaos(jobs, run_suite(jobs, n_jobs=1), header)
         parallel, _, _ = merge_chaos(jobs, pool.run(jobs), header)
         assert (json.dumps(serial, indent=2, sort_keys=True)

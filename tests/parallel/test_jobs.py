@@ -8,12 +8,11 @@ from repro.experiments.base import Check, ExperimentResult
 from repro.parallel import (ChaosCampaignJob, ExperimentJob,
                             ExperimentShardJob, SeedSweepJob, execute,
                             is_shardable, resolve_profile)
-from repro.sim import idle_skip_default
 
 
 class TestPickling:
     @pytest.mark.parametrize("job", [
-        ExperimentJob("fig9", seed=3, quick=False, idle_skip=True),
+        ExperimentJob("fig9", seed=3, quick=False),
         ExperimentShardJob("chaos_campaign", shard=2, seed=1),
         ChaosCampaignJob(7, inject_regression=True, shrink_runs=50),
         SeedSweepJob("fig13", seed=4, profile="paper"),
@@ -44,17 +43,6 @@ class TestExecute:
         assert result.payload.passed
         assert result.events["events_popped"] > 0
         assert result.wall_s > 0.0
-
-    def test_idle_skip_is_restored_after_the_job(self):
-        before = idle_skip_default()
-        execute(ExperimentJob("fig13", idle_skip=not before))
-        assert idle_skip_default() == before
-
-    def test_idle_skip_restored_even_on_failure(self):
-        before = idle_skip_default()
-        with pytest.raises(ValueError):
-            execute(ExperimentJob("nonexistent", idle_skip=not before))
-        assert idle_skip_default() == before
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):

@@ -1,8 +1,8 @@
 """Pool mechanics: persistence, crash isolation, failure propagation.
 
 The jobs here are deliberately tiny module-level dataclasses (the pool
-only requires ``.key``/``.run()``/``.idle_skip``), so these tests
-exercise the pool without paying for real experiments.
+only requires ``.key``/``.run()``), so these tests exercise the pool
+without paying for real experiments.
 """
 
 import os
@@ -17,7 +17,6 @@ from repro.parallel import JobFailed, WorkerCrashed, WorkerPool, run_suite
 @dataclass(frozen=True)
 class EchoJob:
     value: int
-    idle_skip = None
 
     @property
     def key(self) -> str:
@@ -36,7 +35,6 @@ class KillOnceJob:
     """
 
     marker: str
-    idle_skip = None
 
     @property
     def key(self) -> str:
@@ -52,8 +50,6 @@ class KillOnceJob:
 
 @dataclass(frozen=True)
 class AlwaysKillJob:
-    idle_skip = None
-
     @property
     def key(self) -> str:
         return "always-kill"
@@ -64,8 +60,6 @@ class AlwaysKillJob:
 
 @dataclass(frozen=True)
 class RaiseJob:
-    idle_skip = None
-
     @property
     def key(self) -> str:
         return "raise"

@@ -1,24 +1,50 @@
-"""Event-queue contract: every implementation pops identically.
+"""Event-queue contract: the calendar queue pops in heap order.
 
 The kernel's ordering contract is ascending ``(when, insertion
-counter)`` with counters unique at push time. The calendar queue is
-only allowed to exist because it is observably identical to the
-reference heap — the property tests here drive random schedules,
-including interleaved push/pop and the peek-advance-then-earlier-push
-pattern that exercises the active-bucket swap repair, through both
-implementations and require bit-identical pop sequences.
+counter)`` with counters unique at push time. The property tests here
+drive random schedules, including interleaved push/pop and the
+peek-advance-then-earlier-push pattern that exercises the active-bucket
+swap repair, through :class:`CalendarQueue` and a plain ``heapq``
+oracle and require bit-identical pop sequences.
 """
 
+import heapq
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CalendarQueue, HeapQueue, Simulator, make_queue
-from repro.sim.queue import QUEUE_KINDS, default_queue_kind
+from repro.sim import CalendarQueue, Simulator
 
-ALL_KINDS = sorted(QUEUE_KINDS)
+#: Calendar configurations under test. The narrow bucket and tiny
+#: horizon force bucket churn and overflow on the same schedules the
+#: wide default absorbs silently.
+QUEUES = {
+    "calendar": CalendarQueue,
+    "narrow": lambda: CalendarQueue(bucket_width_s=1e-6, horizon_buckets=8),
+}
+ALL_KINDS = sorted(QUEUES)
+
+
+def new_queue(kind):
+    return QUEUES[kind]()
+
+
+class HeapOracle:
+    """Reference ordering: one binary heap of ``(when, counter, event)``."""
+
+    def __init__(self):
+        self._heap = []
+
+    def push(self, when, counter, event):
+        heapq.heappush(self._heap, (when, counter, event))
+
+    def pop(self):
+        return heapq.heappop(self._heap)  # IndexError when empty
+
+    def peek_when(self):
+        return self._heap[0][0] if self._heap else float("inf")
 
 
 def _drain(queue):
@@ -33,7 +59,7 @@ def _drain(queue):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 class TestQueueBasics:
     def test_pops_in_when_then_counter_order(self, kind):
-        queue = make_queue(kind)
+        queue = new_queue(kind)
         entries = [(3e-6, 0, "a"), (1e-6, 1, "b"), (3e-6, 2, "c"),
                    (0.0, 3, "d"), (1e-6, 4, "e")]
         for when, counter, event in entries:
@@ -41,7 +67,7 @@ class TestQueueBasics:
         assert _drain(queue) == sorted(entries)
 
     def test_len_tracks_contents(self, kind):
-        queue = make_queue(kind)
+        queue = new_queue(kind)
         assert len(queue) == 0
         queue.push(1e-6, 0, None)
         queue.push(2e-6, 1, None)
@@ -52,7 +78,7 @@ class TestQueueBasics:
         assert len(queue) == 0
 
     def test_peek_when_without_popping(self, kind):
-        queue = make_queue(kind)
+        queue = new_queue(kind)
         assert queue.peek_when() == float("inf")
         queue.push(5e-6, 0, None)
         queue.push(2e-6, 1, None)
@@ -60,7 +86,7 @@ class TestQueueBasics:
         assert len(queue) == 2
 
     def test_empty_pop_raises_without_counter_side_effects(self, kind):
-        queue = make_queue(kind)
+        queue = new_queue(kind)
         queue.push(1e-6, 0, None)
         queue.pop()
         before = (queue.pushes, queue.pops, queue.len_max, queue.len_sum,
@@ -73,7 +99,7 @@ class TestQueueBasics:
         assert after == before
 
     def test_traffic_and_depth_counters(self, kind):
-        queue = make_queue(kind)
+        queue = new_queue(kind)
         for counter in range(4):
             queue.push(counter * 1e-6, counter, None)
         assert queue.pushes == 4
@@ -116,32 +142,7 @@ class TestCalendarSpecifics:
             CalendarQueue(horizon_buckets=0)
 
 
-class TestSelection:
-    def test_make_queue_kinds(self):
-        assert isinstance(make_queue("heap"), HeapQueue)
-        assert isinstance(make_queue("calendar"), CalendarQueue)
-
-    def test_make_queue_passes_instances_through(self):
-        tuned = CalendarQueue(bucket_width_s=2e-6)
-        assert make_queue(tuned) is tuned
-
-    def test_make_queue_rejects_unknowns(self):
-        with pytest.raises(ValueError, match="unknown queue kind"):
-            make_queue("splay")
-        with pytest.raises(TypeError):
-            make_queue(42)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUEUE", "heap")
-        assert default_queue_kind() == "heap"
-        assert Simulator(queue=None)._queue.kind == "heap"
-        monkeypatch.setenv("REPRO_QUEUE", "nonsense")
-        assert default_queue_kind() == "calendar"
-        monkeypatch.delenv("REPRO_QUEUE")
-        assert default_queue_kind() == "calendar"
-
-
-# -- property: bit-identical pop sequences across implementations ------
+# -- property: bit-identical pop sequences against the heap oracle ----
 
 # A schedule is a list of operations: ("push", when) or ("pop",).
 # Timestamps mix the dense near-monotonic case the calendar is tuned
@@ -181,35 +182,9 @@ def _run_schedule(queue, ops):
 @settings(max_examples=200, deadline=None)
 @given(ops=_ops)
 def test_property_identical_pop_order_heap_vs_calendar(ops):
-    reference = _run_schedule(HeapQueue(), ops)
-    # A narrow bucket and tiny horizon force bucket churn and overflow
-    # on the same schedules the wide default absorbs silently.
-    for queue in (CalendarQueue(),
-                  CalendarQueue(bucket_width_s=1e-6, horizon_buckets=8)):
-        assert _run_schedule(queue, ops) == reference
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_property_simulator_trace_independent_of_queue(seed):
-    """A small process workload leaves an identical trace on both queues."""
-
-    def trace_with(kind):
-        sim = Simulator(seed=seed, queue=kind)
-        log = []
-
-        def worker(name, period):
-            for step in range(5):
-                yield sim.timeout(period)
-                log.append((round(sim.now, 12), name, step,
-                            float(sim.streams.get(f"w.{name}").uniform())))
-
-        for name, period in (("a", 3e-6), ("b", 7e-6), ("c", 11e-6)):
-            sim.spawn(worker(name, period))
-        sim.run()
-        return log
-
-    assert trace_with("heap") == trace_with("calendar")
+    reference = _run_schedule(HeapOracle(), ops)
+    for kind in ALL_KINDS:
+        assert _run_schedule(new_queue(kind), ops) == reference
 
 
 # -- batch operations (push_batch / pop_batch) -------------------------
@@ -236,8 +211,8 @@ def test_property_push_batch_equals_sequential_pushes(kind, pre, batch):
     pre_entries = [(when, next(counter), None) for when in pre]
     batch_entries = [(when, next(counter), None) for when in batch]
 
-    sequential = make_queue(kind)
-    batched = make_queue(kind)
+    sequential = new_queue(kind)
+    batched = new_queue(kind)
     for entry in pre_entries:
         sequential.push(*entry)
         batched.push(*entry)
@@ -256,8 +231,8 @@ def test_property_pop_batch_equals_sequential_pops(kind, whens):
     """pop_batch drains exactly the earliest timestamp, counters equal."""
     entries = [(when, counter, None)
                for counter, when in enumerate(whens)]
-    sequential = make_queue(kind)
-    batched = make_queue(kind)
+    sequential = new_queue(kind)
+    batched = new_queue(kind)
     for entry in entries:
         sequential.push(*entry)
         batched.push(*entry)
@@ -278,12 +253,12 @@ def test_property_pop_batch_equals_sequential_pops(kind, whens):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_pop_batch_empty_queue_raises(kind):
     with pytest.raises(IndexError):
-        make_queue(kind).pop_batch()
+        new_queue(kind).pop_batch()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_push_batch_empty_is_noop(kind):
-    queue = make_queue(kind)
+    queue = new_queue(kind)
     queue.push_batch([])
     assert len(queue) == 0
     assert _counters(queue)["pushes"] == 0
