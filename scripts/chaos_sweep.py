@@ -30,7 +30,35 @@ import json
 import pathlib
 import sys
 
-from repro.parallel import ChaosCampaignJob, merge_chaos, run_suite
+from repro.chaos import sweep_campaign
+from repro.parallel import Job, run_suite
+
+
+def campaign_key(seed: int) -> str:
+    return f"chaos:seed{seed}"
+
+
+def merge_chaos(seeds, results, header: dict):
+    """Fold campaign payloads into the sweep report, in seed order.
+
+    ``results`` is keyed by :func:`campaign_key`. Returns ``(report,
+    minimized_plans_by_seed, failures)``; the report carries exactly
+    the fields a serial sweep writes, so serial and parallel reports
+    stay byte-identical.
+    """
+    report = dict(header)
+    report["campaigns"] = {}
+    minimized = {}
+    failures = 0
+    for seed in sorted(seeds):
+        payload = results[campaign_key(seed)].payload
+        report["campaigns"][str(seed)] = payload["entry"]
+        if payload["failed"]:
+            failures += 1
+            if payload["minimized_plan"] is not None:
+                minimized[seed] = payload["minimized_plan"]
+    report["failures"] = failures
+    return report, minimized, failures
 
 
 def sweep(n_seeds: int, outdir: pathlib.Path, out_name: str,
@@ -43,16 +71,17 @@ def sweep(n_seeds: int, outdir: pathlib.Path, out_name: str,
     and the report is merged in seed order — byte-identical to a serial
     sweep of the same seeds.
     """
-    job_list = [ChaosCampaignJob(seed, inject_regression=inject_regression,
-                                 shrink_runs=shrink_runs)
-                for seed in range(n_seeds)]
-    results = run_suite(job_list, n_jobs=jobs)
+    seeds = range(n_seeds)
+    results = run_suite(
+        [Job(campaign_key(seed), sweep_campaign,
+             (seed, inject_regression, shrink_runs)) for seed in seeds],
+        n_jobs=jobs)
 
     header = {
         "inject_regression": inject_regression,
-        "seeds": list(range(n_seeds)),
+        "seeds": list(seeds),
     }
-    report, minimized, failures = merge_chaos(job_list, results, header)
+    report, minimized, failures = merge_chaos(seeds, results, header)
 
     for seed in range(n_seeds):
         entry = report["campaigns"][str(seed)]

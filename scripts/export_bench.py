@@ -14,11 +14,11 @@ JSON file in the repository root so successive runs can be diffed:
 
 ``--jobs N`` fans the suite over a persistent worker pool
 (:mod:`repro.parallel`); experiments that declare the shard protocol
-(e.g. ``chaos_campaign``) additionally split into per-campaign jobs so
-no single experiment serializes the whole run. Results are merged by
-job key, never completion order, so the report is identical to a
-serial run outside the wall-time fields (``scripts/diff_bench.py``
-checks exactly that).
+(``shard_plan``/``run_shard``/``merge_shards``, e.g. ``chaos_campaign``)
+additionally split into one job per shard spec so no single experiment
+serializes the whole run. Results are merged by job key, never
+completion order, so the report is identical to a serial run outside
+the wall-time fields (``scripts/diff_bench.py`` checks exactly that).
 
 Output shape::
 
@@ -77,34 +77,34 @@ import pathlib
 import subprocess
 import sys
 import time
+from typing import Dict, List
 
 from repro.config.profile import HardwareProfile, spec_to_dict
-from repro.experiments import ALL_EXPERIMENTS
-from repro.parallel import (ExperimentJob, ExperimentShardJob, is_shardable,
-                            merge_bench, run_suite)
+from repro.experiments import ALL_EXPERIMENTS, run_experiment
+from repro.parallel import Job, JobResult, run_suite
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _queue_config() -> dict:
-    """The suite's queue shape (QueueSpec of the default profile).
+def _header(jobs: int, seed: int, quick: bool) -> dict:
+    """The report header every mode starts with.
 
-    Recorded in the report header so ``diff_bench`` can refuse to
-    compare reports produced under different multi-queue datapath
-    configurations instead of silently diffing their rows.
+    ``queue_config`` and ``topology`` record the default profile's
+    multi-queue shape and fabric topology, so ``diff_bench`` refuses to
+    compare reports produced under different datapath configurations
+    (an enabled Clos fabric reroutes every round trip) instead of
+    silently diffing their rows.
     """
-    return spec_to_dict(HardwareProfile.paper().queues)
-
-
-def _topology_config() -> dict:
-    """The suite's fabric topology (TopologySpec of the default profile).
-
-    Same contract as ``_queue_config``: an enabled Clos fabric reroutes
-    every storage and network round trip, so rows from a routed suite
-    are incomparable with single-hop rows and ``diff_bench`` must
-    refuse rather than diff them.
-    """
-    return spec_to_dict(HardwareProfile.paper().topology)
+    profile = HardwareProfile.paper()
+    return {
+        "git_commit": _git_commit(),
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "jobs": jobs,
+        "seed": seed,
+        "quick": quick,
+        "queue_config": spec_to_dict(profile.queues),
+        "topology": spec_to_dict(profile.topology),
+    }
 
 
 def _git_commit() -> str:
@@ -164,46 +164,99 @@ def mode_capable(names=None):
             if "mode" in inspect.signature(ALL_EXPERIMENTS[name]).parameters]
 
 
-def build_jobs(names=None, seed: int = 0, quick: bool = True,
-               shard: bool = True):
-    """The suite as a job list: shard-capable experiments fan out."""
-    selected = dict(ALL_EXPERIMENTS)
+def experiment_job(name: str, seed: int = 0, quick: bool = True,
+                   mode=None, warm_snapshots=None) -> Job:
+    """One whole experiment as a job."""
+    key = f"experiment:{name}:seed{seed}"
+    if mode is not None:
+        key = f"{key}:{mode}"
+    return Job(key, run_experiment,
+               (name, seed, quick, None, mode, warm_snapshots))
+
+
+def build_plan(names=None, seed: int = 0,
+               quick: bool = True) -> Dict[str, List[Job]]:
+    """The suite as ``{experiment: [Job]}``.
+
+    An experiment whose module declares the shard protocol fans out to
+    one ``run_shard`` job per ``shard_plan`` spec; every other
+    experiment is one :func:`experiment_job`.
+    """
+    selected = list(ALL_EXPERIMENTS)
     if names:
-        unknown = [n for n in names if n not in selected]
+        unknown = [n for n in names if n not in ALL_EXPERIMENTS]
         if unknown:
             known = ", ".join(sorted(ALL_EXPERIMENTS))
             raise SystemExit(f"unknown experiment(s) {unknown}; known: {known}")
-        selected = {n: selected[n] for n in names}
+        selected = list(names)
 
-    jobs = []
+    plan = {}
     for exp_id in selected:
-        if shard and is_shardable(exp_id):
-            module = sys.modules[ALL_EXPERIMENTS[exp_id].__module__]
-            n_shards = len(module.shard_plan(seed=seed, quick=quick))
-            jobs.extend(ExperimentShardJob(exp_id, shard=k, seed=seed,
-                                           quick=quick)
-                        for k in range(n_shards))
+        module = inspect.getmodule(ALL_EXPERIMENTS[exp_id])
+        if hasattr(module, "shard_plan"):
+            specs = module.shard_plan(seed=seed, quick=quick)
+            plan[exp_id] = [Job(f"shard:{exp_id}:seed{seed}:{k}",
+                                module.run_shard, (spec,))
+                            for k, spec in enumerate(specs)]
         else:
-            jobs.append(ExperimentJob(exp_id, seed=seed, quick=quick))
-    return jobs
+            plan[exp_id] = [experiment_job(exp_id, seed=seed, quick=quick)]
+    return plan
+
+
+def merge_bench(plan: Dict[str, List[Job]], results: Dict[str, JobResult],
+                header: dict):
+    """Fold per-job results into the BENCH schema, in plan order.
+
+    Events and wall times fold per experiment — counters sum, but
+    ``queue_len_max`` is a high-water mark and aggregates by max,
+    exactly like :func:`repro.sim.global_event_totals` folds multiple
+    simulators. Shard payloads (in plan order) go back to the
+    ``merge_shards`` of the module whose ``run_shard`` produced them,
+    which rebuilds the one ``ExperimentResult`` the unsharded ``run()``
+    returns; it receives ``header["seed"]`` and ``header["quick"]``.
+
+    Returns ``(report, experiment_results)``.
+    """
+    report = dict(header)
+    report["experiments"] = {}
+    experiment_results = {}
+    total = 0.0
+    for name, jobs in plan.items():
+        events: Dict[str, int] = {}
+        wall = 0.0
+        for job in jobs:
+            result = results[job.key]
+            wall += result.wall_s
+            for counter, value in result.events.items():
+                if counter == "queue_len_max":
+                    events[counter] = max(events.get(counter, 0), value)
+                else:
+                    events[counter] = events.get(counter, 0) + value
+        payloads = [results[job.key].payload for job in jobs]
+        if jobs[0].fn is run_experiment:
+            experiment_results[name] = payloads[0]
+        else:
+            module = sys.modules[jobs[0].fn.__module__]
+            experiment_results[name] = module.merge_shards(
+                seed=header["seed"], quick=header["quick"], payloads=payloads)
+        total += wall
+        report["experiments"][name] = {
+            "wall_s": round(wall, 6),
+            "events": events,
+        }
+    report["total_wall_s"] = round(total, 6)
+    return report, experiment_results
 
 
 def run(names=None, seed: int = 0, quick: bool = True, outdir: str = ".",
         jobs: int = 1, out=None) -> pathlib.Path:
     start = time.perf_counter()
-    job_list = build_jobs(names, seed=seed, quick=quick)
-    results = run_suite(job_list, n_jobs=jobs)
+    plan = build_plan(names, seed=seed, quick=quick)
+    results = run_suite([job for group in plan.values() for job in group],
+                        n_jobs=jobs)
 
-    header = {
-        "git_commit": _git_commit(),
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "jobs": jobs,
-        "seed": seed,
-        "quick": quick,
-        "queue_config": _queue_config(),
-        "topology": _topology_config(),
-    }
-    report, experiment_results = merge_bench(job_list, results, header)
+    report, experiment_results = merge_bench(
+        plan, results, _header(jobs, seed, quick))
     report["elapsed_wall_s"] = round(time.perf_counter() - start, 6)
 
     for exp_id, entry in report["experiments"].items():
@@ -299,26 +352,17 @@ def run_warm_start(names=None, seed: int = 0, quick: bool = True,
     print(f"  {len(snapshots)} testbed snapshot(s) cached")
 
     start = time.perf_counter()
-    cold_jobs = [ExperimentJob(name, seed=seed, quick=quick, mode="booted")
+    cold_jobs = [experiment_job(name, seed=seed, quick=quick, mode="booted")
                  for name in names]
-    warm_jobs = [ExperimentJob(name, seed=seed, quick=quick, mode="warm",
-                               warm_snapshots=snapshots)
+    warm_jobs = [experiment_job(name, seed=seed, quick=quick, mode="warm",
+                                warm_snapshots=snapshots)
                  for name in names]
     results = run_suite(cold_jobs + warm_jobs, n_jobs=jobs)
 
-    report = {
-        "git_commit": _git_commit(),
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "jobs": jobs,
-        "seed": seed,
-        "quick": quick,
-        "queue_config": _queue_config(),
-        "topology": _topology_config(),
-        "mode": "warm-start",
-        "experiments": {},
-    }
+    report = {**_header(jobs, seed, quick), "mode": "warm-start",
+              "experiments": {}}
     cold_total = warm_total = 0.0
-    for cold_job, warm_job in zip(cold_jobs, warm_jobs):
+    for name, cold_job, warm_job in zip(names, cold_jobs, warm_jobs):
         cold = results[cold_job.key]
         warm = results[warm_job.key]
         cold_total += cold.wall_s
@@ -334,19 +378,19 @@ def run_warm_start(names=None, seed: int = 0, quick: bool = True,
                              - warm.events["events_popped"]),
             "rows_identical": rows_identical,
         }
-        report["experiments"][cold_job.experiment] = entry
-        print(f"{cold_job.experiment}: cold {cold.wall_s:.3f}s "
+        report["experiments"][name] = entry
+        print(f"{name}: cold {cold.wall_s:.3f}s "
               f"({cold.events['events_popped']} events) vs warm "
               f"{warm.wall_s:.3f}s ({warm.events['events_popped']} events) "
               f"-> {entry['speedup']:.2f}x, "
               f"{entry['events_saved']} events saved")
         if not rows_identical:
-            print(f"  WARNING {cold_job.experiment}: warm rows differ "
+            print(f"  WARNING {name}: warm rows differ "
                   f"from cold rows", file=sys.stderr)
         for payload in (cold.payload, warm.payload):
             if payload is not None and not payload.passed:
                 failed = "; ".join(c.name for c in payload.failed_checks())
-                print(f"  WARNING {cold_job.experiment} checks failed: "
+                print(f"  WARNING {name} checks failed: "
                       f"{failed}", file=sys.stderr)
 
     report["cold_total_wall_s"] = round(cold_total, 6)

@@ -21,7 +21,8 @@ Commit the diff alongside the change that moved the counts.
 import json
 import pathlib
 
-from repro.parallel import ExperimentJob, execute
+from repro.experiments import run_experiment
+from repro.parallel import Job, execute
 from repro.sim import set_idle_skip_default
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parent.parent
@@ -43,7 +44,8 @@ def count_events(experiment: str, idle_skip: bool) -> dict:
     """Golden counters of one seed-0 quick run in the given mode."""
     old = set_idle_skip_default(idle_skip)
     try:
-        result = execute(ExperimentJob(experiment, seed=0, quick=True))
+        result = execute(Job(experiment, run_experiment,
+                             (experiment, 0, True)))
     finally:
         set_idle_skip_default(old)
     assert result.payload.passed, f"{experiment} failed its checks"

@@ -21,8 +21,8 @@ import argparse
 import json
 import pathlib
 
-from repro.experiments import ALL_EXPERIMENTS
-from repro.parallel import SeedSweepJob, merge_sweep, run_suite
+from repro.experiments import ALL_EXPERIMENTS, seed_summary
+from repro.parallel import Job, run_suite
 
 
 def parse_seed_range(text: str):
@@ -37,19 +37,65 @@ def parse_seed_range(text: str):
     return range(lo, hi)
 
 
+def seed_key(seed: int) -> str:
+    return f"sweep:seed{seed}"
+
+
 def sweep(experiment: str, seeds, quick: bool = True, jobs: int = 1,
           profile=None) -> dict:
-    job_list = [SeedSweepJob(experiment, seed, quick=quick, profile=profile)
-                for seed in seeds]
-    results = run_suite(job_list, n_jobs=jobs)
-    report = merge_sweep(job_list, results)
+    results = run_suite(
+        [Job(seed_key(seed), seed_summary, (experiment, seed, quick, profile))
+         for seed in seeds], n_jobs=jobs)
+    report = merge_sweep(seeds, results)
     report_header = {
         "experiment": experiment,
         "quick": quick,
         "profile": profile,
-        "seeds": [job.seed for job in job_list],
+        "seeds": list(seeds),
     }
     return {**report_header, **report}
+
+
+def merge_sweep(seeds, results) -> dict:
+    """Per-seed rows plus aggregate statistics, in seed order.
+
+    ``results`` is keyed by :func:`seed_key`.
+    """
+    rows = []
+    for seed in sorted(seeds):
+        result = results[seed_key(seed)]
+        row = dict(result.payload)
+        row["wall_s"] = round(result.wall_s, 6)
+        row["events_popped"] = result.events.get("events_popped", 0)
+        rows.append(row)
+
+    digests = [row["rows_sha256"] for row in rows]
+    metric_columns = sorted({column
+                             for row in rows
+                             for column in row["metrics"]})
+    aggregate = {
+        "n_seeds": len(rows),
+        "passed_seeds": sum(row["passed"] for row in rows),
+        "all_passed": all(row["passed"] for row in rows),
+        "distinct_row_digests": len(set(digests)),
+        "metrics": {column: _stats([row["metrics"][column] for row in rows
+                                    if column in row["metrics"]])
+                    for column in metric_columns},
+        "events_popped": _stats([row["events_popped"] for row in rows]),
+    }
+    return {"per_seed": rows, "aggregate": aggregate}
+
+
+def _stats(values) -> dict:
+    n = len(values)
+    mean = sum(values) / n
+    variance = sum((v - mean) ** 2 for v in values) / n
+    return {
+        "mean": mean,
+        "min": min(values),
+        "max": max(values),
+        "stddev": variance ** 0.5,
+    }
 
 
 def _print_report(report: dict) -> None:

@@ -18,6 +18,8 @@ spirit of LiveStack's continuously-checked full-stack simulations:
   untouched by the plan float-for-float against a fault-free baseline;
 * :mod:`repro.chaos.runner` — wires a multi-guest testbed, arms the
   plan, installs the monitors, and emits a byte-stable campaign report;
+  :func:`~repro.chaos.runner.sweep_campaign` is one seed of a sweep
+  (run, and shrink on failure);
 * :mod:`repro.chaos.shrink` — reduces a failing campaign to a minimal
   reproducible :class:`FaultPlan` by greedy delta debugging.
 
@@ -38,7 +40,8 @@ from repro.chaos.monitors import (
     Violation,
 )
 from repro.chaos.oracle import DifferentialOracle
-from repro.chaos.runner import CampaignOutcome, CampaignRunner, ScenarioSpec
+from repro.chaos.runner import (CampaignOutcome, CampaignRunner, ScenarioSpec,
+                                sweep_campaign)
 from repro.chaos.shrink import ShrinkOutcome, shrink_plan
 
 __all__ = [
@@ -57,6 +60,7 @@ __all__ = [
     "CampaignRunner",
     "CampaignOutcome",
     "ScenarioSpec",
+    "sweep_campaign",
     "shrink_plan",
     "ShrinkOutcome",
 ]

@@ -26,10 +26,12 @@ from repro.chaos.monitors import (
     ExactlyOnceRingMonitor,
     MonitorSuite,
     QuiescenceMonitor,
+    RegressionProbeMonitor,
     ShadowSyncMonitor,
     Violation,
 )
 from repro.chaos.oracle import DifferentialOracle
+from repro.chaos.shrink import shrink_plan
 from repro.config.profile import HardwareProfile
 from repro.core.server import BmHiveServer
 from repro.fabric import (
@@ -49,7 +51,7 @@ from repro.sim.trace import Tracer
 from repro.virtio.reliability import RetryPolicy
 
 __all__ = ["ScenarioSpec", "ScenarioContext", "CampaignOutcome",
-           "CampaignRunner"]
+           "CampaignRunner", "sweep_campaign"]
 
 
 @dataclass(frozen=True)
@@ -297,3 +299,46 @@ class CampaignRunner:
         ctx.sim.run(until=self.until_s())
         ctx.accounting.finalize()
         ctx.suite.finish()
+
+
+def sweep_campaign(seed: int, inject_regression: bool = False,
+                   shrink_runs: int = 120) -> Dict:
+    """One chaos-sweep seed: run the campaign, and shrink it if it fails.
+
+    The payload is the campaign's report entry — extended with the
+    shrink summary when the campaign fails — plus the minimized plan
+    (JSON, summary, description) to dump as a reproducer.
+    ``inject_regression`` installs the deliberately broken
+    :class:`~repro.chaos.monitors.RegressionProbeMonitor` to prove the
+    failure path end to end.
+    """
+    extra = None
+    if inject_regression:
+        extra = lambda ctx: [RegressionProbeMonitor(ctx.injector)]
+    runner = CampaignRunner(extra_monitors=extra)
+    outcome = runner.run(seed)
+    entry = outcome.report()
+    minimized_plan = None
+    if outcome.failed:
+        shrunk = shrink_plan(
+            outcome.plan,
+            lambda plan: runner.run(seed, plan=plan).failed,
+            max_runs=shrink_runs,
+        )
+        entry["shrink"] = {
+            "summary": shrunk.summary(),
+            "runs": shrunk.runs,
+            "minimal_faults": len(shrunk.plan),
+            "budget_exhausted": shrunk.budget_exhausted,
+        }
+        minimized_plan = {
+            "json": shrunk.plan.to_json() + "\n",
+            "summary": shrunk.summary(),
+            "describe": shrunk.plan.describe(),
+        }
+    return {
+        "seed": seed,
+        "failed": outcome.failed,
+        "entry": entry,
+        "minimized_plan": minimized_plan,
+    }

@@ -34,7 +34,13 @@ from repro.cloud.pricing import (
     ServerBom,
     compare_density,
 )
-from repro.cloud.scheduler import CapacityError, Placement, Scheduler, ServerCapacity
+from repro.cloud.scheduler import (
+    CapacityError,
+    Placement,
+    Scheduler,
+    SchedulerIndexError,
+    ServerCapacity,
+)
 
 __all__ = [
     "InstanceType",
@@ -46,6 +52,7 @@ __all__ = [
     "ServerCapacity",
     "Placement",
     "CapacityError",
+    "SchedulerIndexError",
     "ServerBom",
     "VM_SERVER",
     "BMHIVE_SERVER",

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cloud.billing import BM_DISCOUNT
+
 __all__ = ["ServerBom", "VM_SERVER", "BMHIVE_SERVER", "DensityComparison", "compare_density"]
 
 
@@ -83,7 +85,7 @@ class DensityComparison:
 
 
 def compare_density(vm: ServerBom = VM_SERVER, bm: ServerBom = BMHIVE_SERVER,
-                    price_discount: float = 0.10) -> DensityComparison:
+                    price_discount: float = BM_DISCOUNT) -> DensityComparison:
     """Reproduce the density / per-vCPU cost argument of Section 3.5."""
     return DensityComparison(
         vm_sellable_ht=vm.sellable_hyperthreads,

@@ -51,7 +51,8 @@ import numpy as np
 
 from repro.cloud.inventory import InstanceType
 
-__all__ = ["ServerCapacity", "Placement", "Scheduler", "CapacityError"]
+__all__ = ["ServerCapacity", "Placement", "Scheduler", "CapacityError",
+           "SchedulerIndexError"]
 
 
 class CapacityError(Exception):
@@ -65,6 +66,15 @@ class CapacityError(Exception):
     def __init__(self, message: str, details: Optional[Dict] = None):
         super().__init__(message)
         self.details: Dict = dict(details or {})
+
+
+class SchedulerIndexError(AssertionError):
+    """The incremental placement index diverged from its recompute.
+
+    An ``AssertionError`` subclass, so callers catching a failed
+    invariant keep working — but raised explicitly, so the check still
+    runs under ``python -O``.
+    """
 
 
 @dataclass
@@ -494,26 +504,30 @@ class Scheduler:
 
         Also checks that every non-quarantined server sits in exactly
         the free-list bucket its capacity record implies. Raises
-        ``AssertionError`` on divergence; returns True otherwise.
+        :class:`SchedulerIndexError` on divergence; returns True otherwise.
         """
         cached = self.capacity_summary()
         truth = self.recompute_summary()
-        assert cached == truth, (
-            f"summary counters diverged from capacity arrays:\n"
-            f"  cached:   {cached}\n  recomputed: {truth}")
+        if cached != truth:
+            raise SchedulerIndexError(
+                f"summary counters diverged from capacity arrays:\n"
+                f"  cached:   {cached}\n  recomputed: {truth}")
         for kind, buckets in self._free_sets.items():
             seen = {name for members in buckets.values() for name in members}
             expected = {s.name for s in self.servers.values()
                         if s.kind == kind and not s.quarantined}
-            assert seen == expected, (
-                f"{kind} free-list membership diverged: "
-                f"missing={sorted(expected - seen)} "
-                f"extra={sorted(seen - expected)}")
+            if seen != expected:
+                raise SchedulerIndexError(
+                    f"{kind} free-list membership diverged: "
+                    f"missing={sorted(expected - seen)} "
+                    f"extra={sorted(seen - expected)}")
             for free, members in buckets.items():
                 for name in members:
                     actual = self.servers[name].free_units()
-                    assert actual == free, (
-                        f"{name} bucketed at free={free} but has {actual}")
+                    if actual != free:
+                        raise SchedulerIndexError(
+                            f"{name} bucketed at free={free} "
+                            f"but has {actual}")
         return True
 
     def healthy_headroom(self, kind: str = "bm") -> float:

@@ -90,7 +90,10 @@ def cold_migrate_to_bm(sim, guest: VmGuest, server: VirtServer,
     bm = target.launch_guest(memory_gib=guest.memory.spec.capacity_gib,
                              image=image, name=f"{guest.name}.as-bm")
     record = yield from target.boot_guest(bm, image)
-    assert record.kernel_version == image.kernel_version
+    if record.kernel_version != image.kernel_version:
+        raise ValueError(
+            f"{bm.name} booted kernel {record.kernel_version!r}, "
+            f"image carries {image.kernel_version!r}")
     return MigrationRecord(
         source_kind="vm",
         target_kind="bm",

@@ -13,24 +13,30 @@ Three rungs — 4, 64, and 1024 racks in the full profile — hold the
 per-board load constant while the fleet grows 256x, so any
 superlinearity in cost-per-placement is the scheduler's own doing. The
 top rung completes more than a million guest-lifetimes. Each rung is
-split into per-rack-group shards (:class:`repro.parallel.RegionShardJob`)
-that differ only in derived seed, so the rung is embarrassingly
-parallel and the merged counters are byte-identical whether shards ran
-serially or across a worker pool.
+split into per-rack-group shards (:class:`RegionShardJob`) that differ
+only in derived seed, so the rung is embarrassingly parallel and the
+merged counters are byte-identical whether shards ran serially or
+across a worker pool.
 
 Deterministic counters (arrivals, placements, exits, audit length) are
 the experiment result; wall-derived throughput (placements/s, peak RSS)
-rides along under the volatile ``throughput`` key that
-:data:`repro.parallel.merge.VOLATILE_KEYS` excludes from equivalence
-diffs but the BENCH report still records.
+rides along under the volatile ``throughput`` key that equivalence
+diffs exclude (``scripts/diff_bench.py``) but the BENCH report still
+records.
 """
 
 from __future__ import annotations
 
+import resource
+import time
+from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.cloud.admission import AdmissionPolicy
+from repro.cloud.scheduler import SchedulerIndexError
 from repro.experiments.base import ExperimentResult, check, check_between
-from repro.parallel.jobs import RegionShardJob
+from repro.fleet import ChurnPlan, Region, RegionSpec, VectorizedChurnEngine
+from repro.sim import Simulator
 
 EXPERIMENT_ID = "region_scale"
 TITLE = "Region-scale churn: placement throughput vs fleet size"
@@ -50,7 +56,37 @@ QUICK_SHAPE = dict(servers_per_rack=4, boards_per_server=8,
                    duration_s=2.0, occupancy=0.8, mean_lifetime_s=0.5)
 
 
-# -- shard protocol (repro.parallel fans these across workers) ---------
+@dataclass(frozen=True)
+class RegionShardJob:
+    """One per-rack shard of a region-scale churn run (DESIGN.md §14).
+
+    A shard is a fully independent region — ``racks`` racks of bm
+    servers, fabric stubbed out, probes off — driven by the vectorized
+    churn engine at ``occupancy``-target load for ``duration_s``
+    simulated seconds. Shards of one rung differ only in their derived
+    simulator seed, so a rung is embarrassingly parallel and its merge
+    (summing the deterministic counters in shard order) is byte-
+    identical whether the shards ran inline or across a pool.
+    """
+
+    seed: int
+    rung: int
+    shard: int
+    racks: int
+    servers_per_rack: int = 16
+    boards_per_server: int = 16
+    duration_s: float = 11.0
+    occupancy: float = 0.8
+    mean_lifetime_s: float = 2.0
+    guests: str = "arrays"
+
+    @property
+    def shard_seed(self) -> int:
+        """Independent per-shard root seed (stable, collision-free)."""
+        return self.seed * 100003 + self.rung * 101 + self.shard
+
+
+# -- shard protocol (plan, run each shard anywhere, merge in order) ------
 
 def shard_plan(seed: int = 0, quick: bool = True) -> List[RegionShardJob]:
     """Flat list of shard specs, rung-major then shard-index order."""
@@ -71,7 +107,76 @@ def shard_plan(seed: int = 0, quick: bool = True) -> List[RegionShardJob]:
 
 
 def run_shard(spec: RegionShardJob) -> Dict:
-    return spec.run()
+    """Run one shard; a picklable payload for :func:`merge_shards`.
+
+    The payload separates deterministic simulation counters from the
+    wall-clock measurements: everything volatile lives under the
+    ``throughput`` key, which BENCH diffs ignore.
+    """
+    t_start = time.perf_counter()
+    boards = spec.racks * spec.servers_per_rack * spec.boards_per_server
+    rate = spec.occupancy * boards / spec.mean_lifetime_s
+    region_spec = RegionSpec(
+        n_racks=spec.racks,
+        servers_per_rack=spec.servers_per_rack,
+        boards_per_server=spec.boards_per_server,
+        duration_s=spec.duration_s,
+        arrival_rate_per_s=rate,
+        mean_lifetime_s=spec.mean_lifetime_s,
+        fabric=False,
+        # The front door must not throttle a scale benchmark: the
+        # default per-tier 1000/s buckets would turn region-sized
+        # arrival rates into millions of audited rejections.
+        admission=AdmissionPolicy(
+            limits=(("premium", 1e9, 1e9), ("standard", 1e9, 1e9),
+                    ("best_effort", 1e9, 1e9)),
+            shed_at=(("best_effort", 0.05),)),
+    )
+    sim = Simulator(seed=spec.shard_seed)
+    region = Region(sim, region_spec)
+    plan = ChurnPlan.for_region(region)
+    region.start(probes=False, arrivals=False)
+    engine = VectorizedChurnEngine(region, plan, guests=spec.guests)
+    engine.start()
+    t_built = time.perf_counter()
+    sim.run(until=region_spec.duration_s)
+    run_wall = time.perf_counter() - t_built
+    region.finalize()
+    try:
+        index_ok = region.scheduler.verify_index()
+    except SchedulerIndexError:
+        index_ok = False
+    placed = sum(region.placed.values())
+    churn_events = len(engine._ev_time)
+    wall = time.perf_counter() - t_start
+    return {
+        "rung": spec.rung,
+        "shard": spec.shard,
+        "racks": spec.racks,
+        "servers": spec.racks * spec.servers_per_rack,
+        "boards": boards,
+        "arrivals": len(plan),
+        "placed": placed,
+        "exits": region.exits,
+        "running_at_end": region.running_guests(),
+        "shed": sum(region.shed.values()),
+        "capacity_rejections": sum(region.capacity_rejections.values()),
+        "churn_events": churn_events,
+        "index_ok": index_ok,
+        "audit_ok": region.audit.verify(),
+        "audit_entries": len(region.audit),
+        "throughput": {
+            "wall_s": round(wall, 6),
+            "build_wall_s": round(t_built - t_start, 6),
+            "run_wall_s": round(run_wall, 6),
+            "placements_per_s": round(placed / run_wall, 1)
+            if run_wall > 0 else 0.0,
+            "churn_events_per_s": round(churn_events / run_wall, 1)
+            if run_wall > 0 else 0.0,
+            "peak_rss_kb": int(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
+        },
+    }
 
 
 def merge_shards(seed: int, quick: bool,

@@ -1,17 +1,19 @@
-"""Parallel experiment orchestration (DESIGN.md §9).
+"""Parallel job orchestration (DESIGN.md §9).
 
 Every experiment, chaos campaign, and seed-sweep run in this repository
 is a seeded, single-process DES sharing no state with its neighbors —
 the paper's own evaluation (Figs 7–16, Tables 1–3) is a fan-out of
 independent configurations. This package turns that independence into
-wall-clock speedup without giving up a byte of determinism:
+wall-clock speedup without giving up a byte of determinism. It runs
+``(key, fn, args)`` jobs and knows nothing about what they compute:
+callers plan the jobs, and fold the payloads by key.
 
-* :mod:`repro.parallel.jobs` — typed, picklable job specs plus the
+* :mod:`repro.parallel.jobs` — the one picklable :class:`Job` plus the
   per-job kernel-counter bracketing (:func:`~repro.parallel.jobs.execute`);
 * :mod:`repro.parallel.pool` — a spawn-once persistent worker pool with
   crash-isolated workers and one fresh-worker retry;
-* :mod:`repro.parallel.merge` — result merging keyed by job key, never
-  completion order, so parallel output is byte-identical to serial.
+* :mod:`repro.parallel.merge` — "identical modulo wall time" report
+  comparison (:func:`bench_diff`).
 
 :func:`run_suite` is the one-call API the scripts and benchmarks use.
 """
@@ -20,13 +22,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from repro.parallel.jobs import (ChaosCampaignJob, ExperimentJob,
-                                 ExperimentShardJob, JobResult, RegionShardJob,
-                                 SeedSweepJob, execute, is_shardable,
-                                 resolve_profile)
-from repro.parallel.merge import (VOLATILE_KEYS, WALL_KEYS, bench_diff, merge_bench,
-                                  merge_chaos, merge_experiment_shards,
-                                  merge_sweep, strip_volatile)
+from repro.parallel.jobs import Job, JobResult, check_unique_keys, execute
+from repro.parallel.merge import (VOLATILE_KEYS, WALL_KEYS, bench_diff,
+                                  strip_volatile)
 from repro.parallel.pool import (JobFailed, WorkerCrashed, WorkerPool,
                                  default_jobs)
 
@@ -36,27 +34,17 @@ __all__ = [
     "WorkerCrashed",
     "JobFailed",
     "default_jobs",
+    "Job",
     "JobResult",
-    "ExperimentJob",
-    "ExperimentShardJob",
-    "RegionShardJob",
-    "ChaosCampaignJob",
-    "SeedSweepJob",
     "execute",
-    "is_shardable",
-    "resolve_profile",
     "VOLATILE_KEYS",
     "WALL_KEYS",
     "strip_volatile",
     "bench_diff",
-    "merge_bench",
-    "merge_chaos",
-    "merge_sweep",
-    "merge_experiment_shards",
 ]
 
 
-def run_suite(jobs: Iterable, n_jobs: Optional[int] = None,
+def run_suite(jobs: Iterable[Job], n_jobs: Optional[int] = None,
               pool: Optional[WorkerPool] = None) -> "Dict[str, JobResult]":
     """Execute a batch of jobs; return ``{key: JobResult}`` in order.
 
@@ -77,12 +65,7 @@ def run_suite(jobs: Iterable, n_jobs: Optional[int] = None,
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     n_jobs = min(n_jobs, len(jobs)) or 1
     if n_jobs == 1:
-        results: Dict[str, JobResult] = {}
-        keys = [job.key for job in jobs]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate job keys")
-        for job in jobs:
-            results[job.key] = execute(job)
-        return results
+        check_unique_keys(jobs)
+        return {job.key: execute(job) for job in jobs}
     with WorkerPool(n_jobs) as worker_pool:
         return worker_pool.run(jobs)

@@ -1,33 +1,20 @@
-"""Deterministic merging of parallel job results.
+"""Comparing merged reports modulo volatile fields.
 
-Everything here is keyed and ordered by *job key* (equivalently, by
-submission order), never by completion order: the merged artifacts a
-parallel run produces must be byte-identical to what the serial
-front-ends write, outside explicitly volatile fields (wall-clock,
-timestamps, worker counts). :data:`VOLATILE_KEYS` names those fields
-once, and :func:`strip_volatile` / :func:`bench_diff` implement the
-"identical modulo wall time" comparison the CI gate and the tests use.
+Callers merge job results keyed and ordered by *job key* (equivalently,
+by submission order), never by completion order, so the artifacts a
+parallel run produces are byte-identical to what the serial front-ends
+write outside explicitly volatile fields (wall-clock, timestamps,
+worker counts). :data:`VOLATILE_KEYS` names those fields once, and
+:func:`strip_volatile` / :func:`bench_diff` implement the "identical
+modulo wall time" comparison the CI gate and the tests use.
 """
 
 from __future__ import annotations
 
 import copy
-import sys
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
-from repro.parallel.jobs import (ChaosCampaignJob, ExperimentShardJob,
-                                 JobResult, SeedSweepJob)
-
-__all__ = [
-    "VOLATILE_KEYS",
-    "WALL_KEYS",
-    "strip_volatile",
-    "bench_diff",
-    "merge_bench",
-    "merge_chaos",
-    "merge_sweep",
-    "merge_experiment_shards",
-]
+__all__ = ["VOLATILE_KEYS", "WALL_KEYS", "strip_volatile", "bench_diff"]
 
 # Report fields that legitimately differ between two otherwise
 # equivalent runs: wall-clock measurements and run-metadata stamps.
@@ -47,6 +34,11 @@ VOLATILE_KEYS = frozenset({
 # The wall-clock subset of VOLATILE_KEYS: with a tolerance these are
 # *compared* (within a relative bound) instead of ignored.
 WALL_KEYS = frozenset({"wall_s", "total_wall_s", "elapsed_wall_s"})
+
+# Report header blocks that name the configuration a report was
+# produced under, with what a mismatch means.
+CONFIG_HEADERS = (("queue_config", "multi-queue configurations"),
+                  ("topology", "fabric topologies"))
 
 
 def strip_volatile(report: dict) -> dict:
@@ -113,43 +105,27 @@ def bench_diff(a: dict, b: dict,
     if ignore_keys:
         ignored = ignored | frozenset(ignore_keys)
 
-    # Reports produced under different multi-queue datapath shapes are
-    # incomparable: every row legitimately differs, so a row-by-row
-    # diff would bury the real cause in noise. Surface the config
-    # mismatch alone and stop.
-    if "queue_config" not in ignored:
-        config_a = a.get("queue_config")
-        config_b = b.get("queue_config")
+    # Reports produced under a different multi-queue datapath shape or
+    # fabric topology are incomparable: every row legitimately differs
+    # (a routed Clos suite times every transfer hop-by-hop), so a
+    # row-by-row diff would bury the real cause in noise. Surface the
+    # config mismatch alone and stop.
+    for key, what in CONFIG_HEADERS:
+        if key in ignored:
+            continue
+        config_a, config_b = a.get(key), b.get(key)
         if (config_a is not None and config_b is not None
                 and config_a != config_b):
             changed = sorted(
-                key for key in set(config_a) | set(config_b)
-                if config_a.get(key) != config_b.get(key))
+                name for name in set(config_a) | set(config_b)
+                if config_a.get(name) != config_b.get(name))
             return [
-                "queue_config mismatch — reports were produced under "
-                "different multi-queue configurations and are not "
-                "comparable: "
+                f"{key} mismatch — reports were produced under "
+                f"different {what} and are not comparable: "
                 + ", ".join(
-                    f"{key}: {config_a.get(key)!r} vs {config_b.get(key)!r}"
-                    for key in changed)
-            ]
-
-    # Same story for the fabric topology: a routed Clos suite times
-    # every transfer hop-by-hop, so its rows can never match single-hop
-    # rows and a row diff would just be noise.
-    if "topology" not in ignored:
-        topo_a = a.get("topology")
-        topo_b = b.get("topology")
-        if topo_a is not None and topo_b is not None and topo_a != topo_b:
-            changed = sorted(
-                key for key in set(topo_a) | set(topo_b)
-                if topo_a.get(key) != topo_b.get(key))
-            return [
-                "topology mismatch — reports were produced under "
-                "different fabric topologies and are not comparable: "
-                + ", ".join(
-                    f"{key}: {topo_a.get(key)!r} vs {topo_b.get(key)!r}"
-                    for key in changed)
+                    f"{name}: {config_a.get(name)!r} vs "
+                    f"{config_b.get(name)!r}"
+                    for name in changed)
             ]
 
     def walk(path: str, left, right) -> None:
@@ -188,148 +164,3 @@ def bench_diff(a: dict, b: dict,
 
     walk("", a, b)
     return differences
-
-
-# -- experiment shards -------------------------------------------------
-
-def merge_experiment_shards(experiment: str, seed: int, quick: bool,
-                            payloads: List):
-    """Rebuild the unsharded ``ExperimentResult`` from shard payloads."""
-    runner_module = _experiment_module(experiment)
-    return runner_module.merge_shards(seed=seed, quick=quick,
-                                      payloads=payloads)
-
-
-def _experiment_module(experiment: str):
-    from repro.experiments import ALL_EXPERIMENTS
-
-    return sys.modules[ALL_EXPERIMENTS[experiment].__module__]
-
-
-# -- BENCH reports -----------------------------------------------------
-
-def merge_bench(jobs: Iterable, results: Dict[str, JobResult],
-                header: dict) -> Tuple[dict, dict]:
-    """Fold per-job results into the BENCH schema, in experiment order.
-
-    ``jobs`` is the submitted job list (``ExperimentJob`` and
-    ``ExperimentShardJob`` mixed); shard events and wall times are
-    folded per experiment — counters sum, but ``queue_len_max`` is a
-    high-water mark and aggregates by max, exactly like
-    :func:`repro.sim.global_event_totals` folds multiple simulators —
-    and shard payloads are merged back into one
-    :class:`~repro.experiments.base.ExperimentResult` per experiment.
-
-    Returns ``(report, experiment_results)``.
-    """
-    order: List[str] = []
-    grouped: Dict[str, List] = {}
-    for job in jobs:
-        name = job.experiment
-        if name not in grouped:
-            grouped[name] = []
-            order.append(name)
-        grouped[name].append(job)
-
-    report = dict(header)
-    report["experiments"] = {}
-    experiment_results = {}
-    total = 0.0
-    for name in order:
-        events: Dict[str, int] = {}
-        wall = 0.0
-        shard_payloads = []
-        whole_result = None
-        for job in grouped[name]:
-            result = results[job.key]
-            wall += result.wall_s
-            for counter, value in result.events.items():
-                if counter == "queue_len_max":
-                    events[counter] = max(events.get(counter, 0), value)
-                else:
-                    events[counter] = events.get(counter, 0) + value
-            if isinstance(job, ExperimentShardJob):
-                shard_payloads.append((job.shard, result.payload))
-            else:
-                whole_result = result.payload
-        if shard_payloads:
-            shard_payloads.sort(key=lambda pair: pair[0])
-            whole_result = merge_experiment_shards(
-                name, grouped[name][0].seed, grouped[name][0].quick,
-                [payload for _, payload in shard_payloads])
-        total += wall
-        report["experiments"][name] = {
-            "wall_s": round(wall, 6),
-            "events": events,
-        }
-        experiment_results[name] = whole_result
-    report["total_wall_s"] = round(total, 6)
-    return report, experiment_results
-
-
-# -- chaos sweep reports -----------------------------------------------
-
-def merge_chaos(jobs: List[ChaosCampaignJob],
-                results: Dict[str, JobResult],
-                header: dict) -> Tuple[dict, Dict[int, dict], int]:
-    """Fold campaign payloads into the sweep report, in seed order.
-
-    Returns ``(report, minimized_plans_by_seed, failures)``; the report
-    carries exactly the fields the serial sweep wrote, so serial and
-    parallel reports stay byte-identical.
-    """
-    report = dict(header)
-    report["campaigns"] = {}
-    minimized: Dict[int, dict] = {}
-    failures = 0
-    for job in sorted(jobs, key=lambda j: j.seed):
-        payload = results[job.key].payload
-        report["campaigns"][str(job.seed)] = payload["entry"]
-        if payload["failed"]:
-            failures += 1
-            if payload["minimized_plan"] is not None:
-                minimized[job.seed] = payload["minimized_plan"]
-    report["failures"] = failures
-    return report, minimized, failures
-
-
-# -- seed sweeps -------------------------------------------------------
-
-def merge_sweep(jobs: List[SeedSweepJob],
-                results: Dict[str, JobResult]) -> dict:
-    """Per-seed rows plus aggregate statistics, in seed order."""
-    rows = []
-    for job in sorted(jobs, key=lambda j: j.seed):
-        result = results[job.key]
-        row = dict(result.payload)
-        row["wall_s"] = round(result.wall_s, 6)
-        row["events_popped"] = result.events.get("events_popped", 0)
-        rows.append(row)
-
-    digests = [row["rows_sha256"] for row in rows]
-    metric_columns = sorted({column
-                             for row in rows
-                             for column in row["metrics"]})
-    aggregate = {
-        "n_seeds": len(rows),
-        "passed_seeds": sum(row["passed"] for row in rows),
-        "all_passed": all(row["passed"] for row in rows),
-        "distinct_row_digests": len(set(digests)),
-        "metrics": {column: _stats([row["metrics"][column] for row in rows
-                                    if column in row["metrics"]])
-                    for column in metric_columns},
-        "events_popped": _stats([row["events_popped"] for row in rows]),
-    }
-    return {"per_seed": rows, "aggregate": aggregate}
-
-
-def _stats(values: List[float]) -> dict:
-    n = len(values)
-    mean = sum(values) / n
-    variance = sum((v - mean) ** 2 for v in values) / n
-    return {
-        "mean": mean,
-        "min": min(values),
-        "max": max(values),
-        "stddev": variance ** 0.5,
-    }

@@ -30,7 +30,7 @@ from collections import deque
 from multiprocessing import connection
 from typing import Dict, Iterable, List, Optional
 
-from repro.parallel.jobs import JobResult, execute
+from repro.parallel.jobs import JobResult, check_unique_keys, execute
 
 __all__ = ["WorkerPool", "WorkerCrashed", "JobFailed", "default_jobs"]
 
@@ -170,11 +170,7 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("pool is closed")
         jobs = list(jobs)
-        keys = [job.key for job in jobs]
-        if len(set(keys)) != len(keys):
-            seen = set()
-            dupes = sorted({k for k in keys if k in seen or seen.add(k)})
-            raise ValueError(f"duplicate job keys: {dupes}")
+        keys = check_unique_keys(jobs)
 
         pending = deque((job, 1) for job in jobs)
         done: Dict[str, JobResult] = {}

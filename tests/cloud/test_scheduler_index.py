@@ -10,8 +10,14 @@ sequence, ``place_board``/``release_board`` are exactly ``place``/
 catches corruption.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.cloud import CapacityError, Scheduler, instance
 
 
@@ -72,6 +78,33 @@ class TestAggregateIndex:
         sched._totals["boards_free"] += 1
         with pytest.raises(AssertionError):
             sched.verify_index()
+
+    def test_verify_index_raises_under_optimize(self):
+        """``python -O`` strips bare asserts; the index check must not
+        go silent with them."""
+        script = textwrap.dedent("""
+            from repro.cloud import Scheduler, SchedulerIndexError, instance
+
+            assert False, "asserts are live: not running under -O"
+            sched = Scheduler()
+            for i in range(6):
+                sched.add_bmhive_server(f"hive-{i}", board_slots=4)
+            sched.place(instance("ebm.e5.32ht"))
+            sched._totals["boards_free"] += 1
+            try:
+                sched.verify_index()
+            except SchedulerIndexError:
+                print("raised")
+            else:
+                print("returned")
+            """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-O", "-c", script],
+                                capture_output=True, text=True, env=env,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "raised"
 
 
 class TestBoardFastPath:

@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.experiments.common import make_testbed
@@ -28,3 +31,18 @@ def experiment_results():
     from repro.experiments import run_all
 
     return run_all(seed=0, quick=True)
+
+
+@pytest.fixture(scope="session")
+def load_script():
+    """Loader importing ``scripts/<name>.py`` as a fresh module."""
+    scripts = pathlib.Path(__file__).parent.parent / "scripts"
+
+    def load(name: str):
+        spec = importlib.util.spec_from_file_location(
+            name, scripts / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.experiments import region_scale
-from repro.parallel import (ExperimentShardJob, RegionShardJob, is_shardable,
-                            merge_bench, run_suite)
+from repro.parallel import Job, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -19,11 +18,13 @@ def _strip_throughput(rows):
 
 class TestShardProtocol:
     def test_declares_shard_protocol(self):
-        assert is_shardable("region_scale")
+        for hook in ("shard_plan", "run_shard", "merge_shards"):
+            assert callable(getattr(region_scale, hook))
 
     def test_plan_covers_rungs_in_order(self):
         plan = region_scale.shard_plan(seed=0, quick=True)
-        assert all(isinstance(spec, RegionShardJob) for spec in plan)
+        assert all(isinstance(spec, region_scale.RegionShardJob)
+                   for spec in plan)
         assert [(s.rung, s.shard) for s in plan] == [(0, 0), (1, 0), (1, 1)]
         # Shards of a rung split the racks evenly.
         for rung, (racks, n_shards) in enumerate(region_scale.QUICK_RUNGS):
@@ -58,12 +59,12 @@ class TestShardProtocol:
 
     def test_parallel_suite_matches_serial(self, quick_result):
         plan = region_scale.shard_plan(seed=0, quick=True)
-        jobs = [ExperimentShardJob(experiment="region_scale", shard=k,
-                                   seed=0, quick=True)
-                for k in range(len(plan))]
+        jobs = [Job(f"shard{k}", region_scale.run_shard, (spec,))
+                for k, spec in enumerate(plan)]
         results = run_suite(jobs, n_jobs=2)
-        _, experiment_results = merge_bench(jobs, results, {})
-        merged = experiment_results["region_scale"]
+        merged = region_scale.merge_shards(
+            seed=0, quick=True,
+            payloads=[results[job.key].payload for job in jobs])
         assert (_strip_throughput(merged.rows)
                 == _strip_throughput(quick_result.rows))
 

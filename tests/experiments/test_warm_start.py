@@ -26,8 +26,7 @@ from repro.experiments.common import (
     snapshot_testbed,
     warm_testbed,
 )
-from repro.parallel import WorkerPool
-from repro.parallel.jobs import ExperimentJob, execute
+from repro.parallel import WorkerPool, execute
 from repro.sim import SnapshotError, global_event_totals, reset_global_stats
 from repro.sim.doorbell import set_idle_skip_default
 
@@ -178,15 +177,16 @@ class TestMultiQueueWarmStart:
 
 
 class TestWarmJobsThroughPool:
-    def test_warm_snapshots_ship_to_workers(self):
+    def test_warm_snapshots_ship_to_workers(self, load_script):
         # Prime locally, ship the snapshots with the job, and let a
         # clean worker process (no warm cache of its own) run warm.
         fig9.run(seed=0, quick=True, mode="warm")
         snaps = export_warm_cache()
         assert snaps
 
-        cold_job = ExperimentJob("fig9", mode="booted")
-        warm_job = ExperimentJob("fig9", mode="warm", warm_snapshots=snaps)
+        experiment_job = load_script("export_bench").experiment_job
+        cold_job = experiment_job("fig9", mode="booted")
+        warm_job = experiment_job("fig9", mode="warm", warm_snapshots=snaps)
         assert cold_job.key != warm_job.key
         with WorkerPool(2) as pool:
             results = pool.run([cold_job, warm_job])
@@ -195,8 +195,8 @@ class TestWarmJobsThroughPool:
         assert (warm.events["events_popped"]
                 < cold.events["events_popped"])
 
-    def test_mode_none_keeps_historical_key(self):
-        job = ExperimentJob("fig9", seed=3)
+    def test_mode_none_keeps_historical_key(self, load_script):
+        job = load_script("export_bench").experiment_job("fig9", seed=3)
         assert job.key == "experiment:fig9:seed3"
         result = execute(job)
         assert result.payload.passed

@@ -7,10 +7,9 @@ non-volatile byte of the merged artifacts must match.
 
 import pytest
 
-from repro.experiments import chaos_campaign
-from repro.parallel import (ChaosCampaignJob, ExperimentShardJob, WorkerPool,
-                            bench_diff, merge_bench, merge_chaos, run_suite)
-from repro.parallel.jobs import ExperimentJob
+from repro.chaos import sweep_campaign
+from repro.experiments import chaos_campaign, run_experiment
+from repro.parallel import Job, WorkerPool, bench_diff, run_suite
 
 SMALL_EXPERIMENTS = ["fig13", "fig14", "iobond_micro", "cost"]
 
@@ -21,20 +20,30 @@ def pool():
         yield shared
 
 
+def _shard_jobs():
+    specs = chaos_campaign.shard_plan(seed=0, quick=True)
+    return [Job(f"shard:{k}", chaos_campaign.run_shard, (spec,))
+            for k, spec in enumerate(specs)]
+
+
 class TestBenchEquivalence:
-    def test_parallel_bench_matches_serial_modulo_wall(self, pool):
-        jobs = [ExperimentJob(name) for name in SMALL_EXPERIMENTS]
+    def test_parallel_bench_matches_serial_modulo_wall(self, pool,
+                                                       load_script):
+        export_bench = load_script("export_bench")
+        plan = export_bench.build_plan(SMALL_EXPERIMENTS)
+        jobs = [job for group in plan.values() for job in group]
         header = {"seed": 0, "quick": True}
-        serial_report, serial_results = merge_bench(
-            jobs, run_suite(jobs, n_jobs=1), header)
-        parallel_report, parallel_results = merge_bench(
-            jobs, pool.run(jobs), header)
+        serial_report, serial_results = export_bench.merge_bench(
+            plan, run_suite(jobs, n_jobs=1), header)
+        parallel_report, parallel_results = export_bench.merge_bench(
+            plan, pool.run(jobs), header)
         assert bench_diff(serial_report, parallel_report) == []
         for name in SMALL_EXPERIMENTS:
             assert serial_results[name].rows == parallel_results[name].rows
 
     def test_event_counts_identical_not_just_close(self, pool):
-        jobs = [ExperimentJob("fig13"), ExperimentJob("fig14")]
+        jobs = [Job(name, run_experiment, (name, 0, True))
+                for name in ("fig13", "fig14")]
         serial = run_suite(jobs, n_jobs=1)
         parallel = pool.run(jobs)
         for job in jobs:
@@ -43,9 +52,7 @@ class TestBenchEquivalence:
 
 class TestShardedChaosCampaign:
     def test_sharded_merge_equals_direct_run(self, pool):
-        shards = chaos_campaign.shard_plan(seed=0, quick=True)
-        jobs = [ExperimentShardJob("chaos_campaign", shard=k)
-                for k in range(len(shards))]
+        jobs = _shard_jobs()
         results = pool.run(jobs)
         merged = chaos_campaign.merge_shards(
             0, True, [results[job.key].payload for job in jobs])
@@ -57,11 +64,9 @@ class TestShardedChaosCampaign:
         assert merged.passed
 
     def test_shard_events_sum_to_serial_totals(self, pool):
-        shards = chaos_campaign.shard_plan(seed=0, quick=True)
-        jobs = [ExperimentShardJob("chaos_campaign", shard=k)
-                for k in range(len(shards))]
-        parallel = pool.run(jobs)
-        serial = run_suite([ExperimentJob("chaos_campaign")], n_jobs=1)
+        parallel = pool.run(_shard_jobs())
+        serial = run_suite([Job("whole", run_experiment,
+                                ("chaos_campaign", 0, True))], n_jobs=1)
         summed = {}
         for result in parallel.values():
             for counter, value in result.events.items():
@@ -74,16 +79,21 @@ class TestShardedChaosCampaign:
         # Shards partition the scenarios exactly, so every summable
         # counter adds up and the max-of-maxes equals the serial
         # high-water mark (each scenario runs in its own simulator).
-        assert summed == serial["experiment:chaos_campaign:seed0"].events
+        assert summed == serial["whole"].events
 
 
 class TestChaosSweepEquivalence:
-    def test_parallel_sweep_report_byte_identical(self, pool):
+    def test_parallel_sweep_report_byte_identical(self, pool, load_script):
         import json
 
-        jobs = [ChaosCampaignJob(seed) for seed in range(2)]
-        header = {"inject_regression": False, "seeds": [0, 1]}
-        serial, _, _ = merge_chaos(jobs, run_suite(jobs, n_jobs=1), header)
-        parallel, _, _ = merge_chaos(jobs, pool.run(jobs), header)
+        chaos_sweep = load_script("chaos_sweep")
+        seeds = [0, 1]
+        jobs = [Job(chaos_sweep.campaign_key(seed), sweep_campaign, (seed,))
+                for seed in seeds]
+        header = {"inject_regression": False, "seeds": seeds}
+        serial, _, _ = chaos_sweep.merge_chaos(
+            seeds, run_suite(jobs, n_jobs=1), header)
+        parallel, _, _ = chaos_sweep.merge_chaos(
+            seeds, pool.run(jobs), header)
         assert (json.dumps(serial, indent=2, sort_keys=True)
                 == json.dumps(parallel, indent=2, sort_keys=True))

@@ -1,21 +1,23 @@
-"""Job specs: pickling, execution bracketing, and payload shapes."""
+"""Jobs: pickling, execution bracketing, and the shipped job functions."""
 
 import pickle
 
 import pytest
 
+from repro.chaos import sweep_campaign
+from repro.experiments import (chaos_campaign, region_scale, resolve_profile,
+                               run_experiment, seed_summary)
 from repro.experiments.base import Check, ExperimentResult
-from repro.parallel import (ChaosCampaignJob, ExperimentJob,
-                            ExperimentShardJob, SeedSweepJob, execute,
-                            is_shardable, resolve_profile)
+from repro.parallel import Job, execute
 
 
 class TestPickling:
     @pytest.mark.parametrize("job", [
-        ExperimentJob("fig9", seed=3, quick=False),
-        ExperimentShardJob("chaos_campaign", shard=2, seed=1),
-        ChaosCampaignJob(7, inject_regression=True, shrink_runs=50),
-        SeedSweepJob("fig13", seed=4, profile="paper"),
+        Job("experiment:fig9:seed3", run_experiment, ("fig9", 3, False)),
+        Job("shard:region_scale:seed1:2", region_scale.run_shard,
+            (region_scale.shard_plan(seed=1, quick=True)[2],)),
+        Job("chaos:seed7", sweep_campaign, (7, True, 50)),
+        Job("sweep:seed4", seed_summary, ("fig13", 4, True, "paper")),
     ])
     def test_jobs_round_trip(self, job):
         assert pickle.loads(pickle.dumps(job)) == job
@@ -38,19 +40,20 @@ class TestPickling:
 
 class TestExecute:
     def test_collects_per_job_event_totals(self):
-        result = execute(ExperimentJob("fig13"))
-        assert result.key == "experiment:fig13:seed0"
+        result = execute(Job("fig13", run_experiment, ("fig13", 0, True)))
+        assert result.key == "fig13"
         assert result.payload.passed
         assert result.events["events_popped"] > 0
         assert result.wall_s > 0.0
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):
-            execute(ExperimentJob("nope"))
+            execute(Job("nope", run_experiment, ("nope", 0, True)))
 
     def test_profile_rejected_when_runner_cannot_take_it(self):
         with pytest.raises(ValueError, match="profile"):
-            execute(ExperimentJob("fig13", profile="paper"))
+            execute(Job("fig13", run_experiment,
+                        ("fig13", 0, True, "paper")))
 
     def test_resolve_profile(self):
         assert resolve_profile(None) is None
@@ -60,23 +63,21 @@ class TestExecute:
 
 
 class TestExperimentShards:
-    def test_chaos_campaign_declares_shards(self):
-        assert is_shardable("chaos_campaign")
-        assert not is_shardable("fig9")
-
-    def test_shard_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="shard"):
-            execute(ExperimentShardJob("chaos_campaign", shard=99))
-
-    def test_unsharded_experiment_rejected(self):
-        with pytest.raises(ValueError, match="not shardable"):
-            execute(ExperimentShardJob("fig9", shard=0))
+    def test_chaos_campaign_declares_shards(self, load_script):
+        plan = load_script("export_bench").build_plan(
+            ["chaos_campaign", "fig9"])
+        specs = chaos_campaign.shard_plan(seed=0, quick=True)
+        # A shardable experiment ships its specs directly, one job each.
+        assert [job.fn for job in plan["chaos_campaign"]] == (
+            [chaos_campaign.run_shard] * len(specs))
+        assert [job.args for job in plan["chaos_campaign"]] == (
+            [(spec,) for spec in specs])
+        assert [job.fn for job in plan["fig9"]] == [run_experiment]
 
 
 class TestSeedSweepPayload:
     def test_payload_shape(self):
-        result = execute(SeedSweepJob("fig13", seed=2))
-        payload = result.payload
+        payload = seed_summary("fig13", seed=2)
         assert payload["seed"] == 2
         assert payload["experiment"] == "fig13"
         assert payload["passed"] is True
@@ -87,17 +88,18 @@ class TestSeedSweepPayload:
         assert all(isinstance(v, float) for v in payload["metrics"].values())
 
     def test_digest_is_seed_stable(self):
-        a = execute(SeedSweepJob("fig13", seed=5)).payload
-        b = execute(SeedSweepJob("fig13", seed=5)).payload
-        c = execute(SeedSweepJob("fig13", seed=6)).payload
+        a = seed_summary("fig13", seed=5)
+        b = seed_summary("fig13", seed=5)
+        c = seed_summary("fig13", seed=6)
         assert a["rows_sha256"] == b["rows_sha256"]
         assert a["rows_sha256"] != c["rows_sha256"]
 
 
 class TestChaosCampaignJob:
+    """One chaos-sweep seed, as a job ships it (``sweep_campaign``)."""
+
     def test_clean_campaign_payload(self):
-        result = execute(ChaosCampaignJob(0))
-        payload = result.payload
+        payload = sweep_campaign(0)
         assert payload["seed"] == 0
         assert payload["failed"] is False
         assert payload["minimized_plan"] is None
@@ -107,9 +109,7 @@ class TestChaosCampaignJob:
         assert "shrink" not in entry
 
     def test_regression_probe_fails_and_shrinks(self):
-        result = execute(ChaosCampaignJob(0, inject_regression=True,
-                                          shrink_runs=40))
-        payload = result.payload
+        payload = sweep_campaign(0, inject_regression=True, shrink_runs=40)
         assert payload["failed"] is True
         assert payload["entry"]["shrink"]["minimal_faults"] >= 1
         plan = payload["minimized_plan"]

@@ -1,10 +1,13 @@
-"""Deterministic merge layer: ordering, volatile stripping, aggregation."""
+"""Deterministic merging: ordering, volatile stripping, aggregation.
+
+``bench_diff``/``strip_volatile`` live in :mod:`repro.parallel.merge`;
+each payload fold lives in the script that plans its jobs.
+"""
 
 import pytest
 
-from repro.parallel import (ChaosCampaignJob, ExperimentJob, JobResult,
-                            SeedSweepJob, bench_diff, merge_bench,
-                            merge_chaos, merge_sweep, strip_volatile)
+from repro.experiments import run_experiment
+from repro.parallel import Job, JobResult, bench_diff, strip_volatile
 
 
 def _result(key, payload, events=None, wall=0.5):
@@ -172,45 +175,68 @@ class TestWallTolerance:
         assert bench_diff(a, b, ignore_keys=("bucket_overflows",)) == []
 
 
+def run_shard(spec):
+    """Stand-in shard function; merge_bench folds via its module."""
+
+
+def merge_shards(seed, quick, payloads):
+    return {"seed": seed, "quick": quick, "payloads": payloads}
+
+
 class TestMergeBench:
-    def test_experiment_order_follows_jobs_not_completion(self):
-        jobs = [ExperimentJob("b_exp"), ExperimentJob("a_exp")]
+    @pytest.fixture
+    def merge_bench(self, load_script):
+        return load_script("export_bench").merge_bench
+
+    def test_experiment_order_follows_jobs_not_completion(self, merge_bench):
+        plan = {name: [Job(name, run_experiment, (name, 0, True))]
+                for name in ("b_exp", "a_exp")}
         results = {  # dict insertion order is completion order here
-            "experiment:a_exp:seed0": _result("experiment:a_exp:seed0", None),
-            "experiment:b_exp:seed0": _result("experiment:b_exp:seed0", None),
+            "a_exp": _result("a_exp", "a"),
+            "b_exp": _result("b_exp", "b"),
         }
-        report, _ = merge_bench(jobs, results, {"seed": 0})
+        report, experiment_results = merge_bench(plan, results, {"seed": 0})
         assert list(report["experiments"]) == ["b_exp", "a_exp"]
+        assert experiment_results == {"b_exp": "b", "a_exp": "a"}
         assert report["seed"] == 0
         assert report["total_wall_s"] == pytest.approx(1.0)
 
-    def test_events_summed_within_experiment(self):
-        # Two ExperimentJobs with distinct seeds group under one name.
-        jobs = [ExperimentJob("e", seed=0), ExperimentJob("e", seed=1)]
+    def test_events_summed_within_experiment(self, merge_bench):
+        # Two shards of one experiment fold into one entry, and their
+        # payloads (in plan order) into the producing module's merge.
+        jobs = [Job("s0", run_shard, (0,)), Job("s1", run_shard, (1,))]
         results = {
-            jobs[0].key: _result(jobs[0].key, None, {"events_popped": 7}),
-            jobs[1].key: _result(jobs[1].key, None, {"events_popped": 5}),
+            "s1": _result("s1", "p1", {"events_popped": 5}),
+            "s0": _result("s0", "p0", {"events_popped": 7}),
         }
-        report, _ = merge_bench(jobs, results, {})
+        report, experiment_results = merge_bench(
+            {"e": jobs}, results, {"seed": 3, "quick": True})
         assert report["experiments"]["e"]["events"]["events_popped"] == 12
+        assert experiment_results["e"] == {
+            "seed": 3, "quick": True, "payloads": ["p0", "p1"]}
 
-    def test_queue_len_max_folds_as_high_water_mark(self):
+    def test_queue_len_max_folds_as_high_water_mark(self, merge_bench):
         # queue_len_max is a depth high-water mark, not traffic: two
         # shards with maxima 40 and 25 merge to 40, never 65 (mirrors
         # global_event_totals across simulators).
-        jobs = [ExperimentJob("e", seed=0), ExperimentJob("e", seed=1)]
+        jobs = [Job("s0", run_shard, (0,)), Job("s1", run_shard, (1,))]
         results = {
-            jobs[0].key: _result(jobs[0].key, None,
-                                 {"events_popped": 7, "queue_len_max": 40}),
-            jobs[1].key: _result(jobs[1].key, None,
-                                 {"events_popped": 5, "queue_len_max": 25}),
+            "s0": _result("s0", None,
+                          {"events_popped": 7, "queue_len_max": 40}),
+            "s1": _result("s1", None,
+                          {"events_popped": 5, "queue_len_max": 25}),
         }
-        report, _ = merge_bench(jobs, results, {})
+        report, _ = merge_bench({"e": jobs}, results,
+                                {"seed": 0, "quick": True})
         assert report["experiments"]["e"]["events"] == {
             "events_popped": 12, "queue_len_max": 40}
 
 
 class TestMergeChaos:
+    @pytest.fixture
+    def chaos_sweep(self, load_script):
+        return load_script("chaos_sweep")
+
     def _payload(self, seed, failed=False, plan=None):
         entry = {"failed": failed, "n_faults": 2, "monitor_samples": 5}
         if failed:
@@ -218,30 +244,36 @@ class TestMergeChaos:
         return {"seed": seed, "failed": failed, "entry": entry,
                 "minimized_plan": plan}
 
-    def test_campaigns_keyed_in_seed_order(self):
-        jobs = [ChaosCampaignJob(seed) for seed in (2, 0, 1)]
-        results = {job.key: _result(job.key, self._payload(job.seed))
-                   for job in jobs}
-        report, minimized, failures = merge_chaos(jobs, results, {"x": 1})
+    def test_campaigns_keyed_in_seed_order(self, chaos_sweep):
+        seeds = (2, 0, 1)
+        key = chaos_sweep.campaign_key
+        results = {key(seed): _result(key(seed), self._payload(seed))
+                   for seed in seeds}
+        report, minimized, failures = chaos_sweep.merge_chaos(
+            seeds, results, {"x": 1})
         assert list(report["campaigns"]) == ["0", "1", "2"]
         assert report["failures"] == 0 == failures
         assert minimized == {}
 
-    def test_failures_counted_and_plans_collected(self):
-        jobs = [ChaosCampaignJob(0), ChaosCampaignJob(1)]
+    def test_failures_counted_and_plans_collected(self, chaos_sweep):
         plan = {"json": "{}\n", "summary": "s", "describe": "d"}
+        key = chaos_sweep.campaign_key
         results = {
-            jobs[0].key: _result(jobs[0].key, self._payload(0)),
-            jobs[1].key: _result(jobs[1].key,
-                                 self._payload(1, failed=True, plan=plan)),
+            key(0): _result(key(0), self._payload(0)),
+            key(1): _result(key(1), self._payload(1, failed=True, plan=plan)),
         }
-        report, minimized, failures = merge_chaos(jobs, results, {})
+        report, minimized, failures = chaos_sweep.merge_chaos(
+            [0, 1], results, {})
         assert failures == 1
         assert report["failures"] == 1
         assert minimized == {1: plan}
 
 
 class TestMergeSweep:
+    @pytest.fixture
+    def sweep(self, load_script):
+        return load_script("sweep")
+
     def _payload(self, seed, passed=True, digest="d0", qps=100.0):
         return {
             "seed": seed, "experiment": "e", "passed": passed,
@@ -251,14 +283,14 @@ class TestMergeSweep:
             "metrics": {"qps": qps},
         }
 
-    def test_rows_in_seed_order_with_aggregates(self):
-        jobs = [SeedSweepJob("e", seed) for seed in (1, 0, 2)]
+    def test_rows_in_seed_order_with_aggregates(self, sweep):
+        key = sweep.seed_key
         results = {
-            jobs[0].key: _result(jobs[0].key, self._payload(1, qps=200.0)),
-            jobs[1].key: _result(jobs[1].key, self._payload(0, qps=100.0)),
-            jobs[2].key: _result(jobs[2].key, self._payload(2, qps=300.0)),
+            key(1): _result(key(1), self._payload(1, qps=200.0)),
+            key(0): _result(key(0), self._payload(0, qps=100.0)),
+            key(2): _result(key(2), self._payload(2, qps=300.0)),
         }
-        report = merge_sweep(jobs, results)
+        report = sweep.merge_sweep((1, 0, 2), results)
         assert [row["seed"] for row in report["per_seed"]] == [0, 1, 2]
         aggregate = report["aggregate"]
         assert aggregate["n_seeds"] == 3
@@ -268,14 +300,14 @@ class TestMergeSweep:
         assert aggregate["metrics"]["qps"]["min"] == 100.0
         assert aggregate["metrics"]["qps"]["max"] == 300.0
 
-    def test_failed_seed_flips_all_passed(self):
-        jobs = [SeedSweepJob("e", 0), SeedSweepJob("e", 1)]
+    def test_failed_seed_flips_all_passed(self, sweep):
+        key = sweep.seed_key
         results = {
-            jobs[0].key: _result(jobs[0].key, self._payload(0)),
-            jobs[1].key: _result(jobs[1].key,
-                                 self._payload(1, passed=False, digest="d1")),
+            key(0): _result(key(0), self._payload(0)),
+            key(1): _result(key(1),
+                            self._payload(1, passed=False, digest="d1")),
         }
-        aggregate = merge_sweep(jobs, results)["aggregate"]
+        aggregate = sweep.merge_sweep([0, 1], results)["aggregate"]
         assert aggregate["passed_seeds"] == 1
         assert aggregate["all_passed"] is False
         assert aggregate["distinct_row_digests"] == 2

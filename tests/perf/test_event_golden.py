@@ -23,7 +23,8 @@ import pathlib
 
 import pytest
 
-from repro.parallel import ExperimentJob, execute
+from repro.experiments import run_experiment
+from repro.parallel import Job, execute
 from repro.sim import set_idle_skip_default
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_event_counts.json"
@@ -50,7 +51,8 @@ class TestEventCountGolden:
     def test_counts_match_golden(self, golden, experiment, idle_skip):
         old = set_idle_skip_default(idle_skip)
         try:
-            result = execute(ExperimentJob(experiment, seed=0, quick=True))
+            result = execute(Job(experiment, run_experiment,
+                                 (experiment, 0, True)))
         finally:
             set_idle_skip_default(old)
         assert result.payload.passed

@@ -1,20 +1,11 @@
 """Smoke tests for the repository scripts and the CLI module entry."""
 
-import importlib.util
 import json
 import pathlib
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).parent.parent
-
-
-def _load_script(name: str):
-    spec = importlib.util.spec_from_file_location(
-        name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_export_figures_writes_csvs(tmp_path):
@@ -40,8 +31,9 @@ def test_module_cli_entry():
 
 
 class TestExportBench:
-    def test_out_path_carries_commit_and_timestamp(self, tmp_path):
-        export_bench = _load_script("export_bench")
+    def test_out_path_carries_commit_and_timestamp(self, tmp_path,
+                                                   load_script):
+        export_bench = load_script("export_bench")
         out = tmp_path / "bench.json"
         path = export_bench.run(["fig13"], out=str(out))
         assert path == out
@@ -52,8 +44,9 @@ class TestExportBench:
         assert "fig13" in report["experiments"]
         assert report["experiments"]["fig13"]["events"]["events_popped"] > 0
 
-    def test_auto_numbering_claims_slots_exclusively(self, tmp_path):
-        export_bench = _load_script("export_bench")
+    def test_auto_numbering_claims_slots_exclusively(self, tmp_path,
+                                                      load_script):
+        export_bench = load_script("export_bench")
         # Pre-claim slot 0 the way a concurrent run would: the next
         # claim must skip to slot 1 even though slot 0 is still empty
         # (the old exists() scan raced exactly here).
@@ -63,17 +56,17 @@ class TestExportBench:
         second = export_bench._claim_bench_path(tmp_path)
         assert second.name == "BENCH_1.json"
 
-    def test_parallel_run_equivalent_to_serial(self, tmp_path):
-        export_bench = _load_script("export_bench")
-        diff_bench = _load_script("diff_bench")
+    def test_parallel_run_equivalent_to_serial(self, tmp_path, load_script):
+        export_bench = load_script("export_bench")
+        diff_bench = load_script("diff_bench")
         serial = export_bench.run(["fig13", "fig14"], jobs=1,
                                   out=str(tmp_path / "serial.json"))
         parallel = export_bench.run(["fig13", "fig14"], jobs=2,
                                     out=str(tmp_path / "parallel.json"))
         assert diff_bench.main([str(serial), str(parallel)]) == 0
 
-    def test_diff_bench_flags_real_differences(self, tmp_path):
-        diff_bench = _load_script("diff_bench")
+    def test_diff_bench_flags_real_differences(self, tmp_path, load_script):
+        diff_bench = load_script("diff_bench")
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         a.write_text(json.dumps({"seed": 0, "wall_s": 1.0}))
@@ -82,8 +75,8 @@ class TestExportBench:
 
 
 class TestSweep:
-    def test_parse_seed_range(self):
-        sweep = _load_script("sweep")
+    def test_parse_seed_range(self, load_script):
+        sweep = load_script("sweep")
         assert list(sweep.parse_seed_range("3")) == [0, 1, 2]
         assert list(sweep.parse_seed_range("4:7")) == [4, 5, 6]
         for bad in ("0", "5:5", "7:3"):
@@ -93,8 +86,9 @@ class TestSweep:
                 continue
             raise AssertionError(f"{bad!r} accepted")
 
-    def test_sweep_reports_per_seed_and_aggregate(self, tmp_path):
-        sweep = _load_script("sweep")
+    def test_sweep_reports_per_seed_and_aggregate(self, tmp_path,
+                                                  load_script):
+        sweep = load_script("sweep")
         out = tmp_path / "sweep.json"
         code = sweep.main(["fig13", "--seeds", "2", "--jobs", "2",
                            "--out", str(out)])
@@ -105,8 +99,8 @@ class TestSweep:
         assert report["aggregate"]["all_passed"] is True
         assert report["aggregate"]["n_seeds"] == 2
 
-    def test_unknown_experiment_rejected(self):
-        sweep = _load_script("sweep")
+    def test_unknown_experiment_rejected(self, load_script):
+        sweep = load_script("sweep")
         try:
             sweep.main(["not_an_experiment", "--seeds", "2"])
         except SystemExit as exc:
@@ -115,8 +109,8 @@ class TestSweep:
             raise AssertionError("argparse should have exited")
 
 
-def test_refresh_perf_golden_is_stable(tmp_path, monkeypatch):
-    refresh = _load_script("refresh_perf_golden")
+def test_refresh_perf_golden_is_stable(tmp_path, monkeypatch, load_script):
+    refresh = load_script("refresh_perf_golden")
     target = tmp_path / "golden.json"
     monkeypatch.setattr(refresh, "GOLDEN_PATH", target)
     assert refresh.main() == 0
