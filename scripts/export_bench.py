@@ -10,7 +10,6 @@ JSON file in the repository root so successive runs can be diffed:
     python scripts/export_bench.py fig11 fig9     # just these
     python scripts/export_bench.py --jobs 8       # process-pool fan-out
     python scripts/export_bench.py --out my.json  # explicit output path
-    python scripts/export_bench.py --warm-start   # cold-vs-warm columns
 
 ``--jobs N`` fans the suite over a persistent worker pool
 (:mod:`repro.parallel`); experiments that declare the shard protocol
@@ -40,28 +39,6 @@ Each experiment entry also carries ``queue_depth`` (max and mean event
 queue length over the run, derived from the kernel's ``queue_len_max``
 and ``queue_len_sum`` counters).
 
-``--warm-start`` switches the suite to the snapshot/restore benchmark:
-every mode-capable experiment (those whose ``run()`` accepts a
-``mode=`` testbed fidelity) runs twice — once cold (``mode="booted"``,
-every bm-guest boots through the virtio-blk path) and once warm
-(``mode="warm"``, the booted testbed is restored from a kernel
-snapshot). The snapshots are primed once, unmeasured, and shipped with
-the warm jobs so pool workers restore instead of booting. The report
-then has ``cold``/``warm`` columns per experiment plus ``speedup``,
-``events_saved``, and a ``rows_identical`` bit asserting the warm rows
-are byte-identical to the cold ones::
-
-    {
-      ...,
-      "mode": "warm-start",
-      "experiments": {
-        "fig9": {"cold": {...}, "warm": {...}, "speedup": 1.8,
-                 "events_saved": 23968, "rows_identical": true},
-        ...
-      },
-      "cold_total_wall_s": ..., "warm_total_wall_s": ..., "speedup": ...
-    }
-
 Auto-numbering is concurrency-safe: the slot is claimed with
 ``O_CREAT | O_EXCL`` (two racing runs can never pick the same number)
 and the content lands via write-to-temp + atomic rename, so a reader
@@ -87,7 +64,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _header(jobs: int, seed: int, quick: bool) -> dict:
-    """The report header every mode starts with.
+    """The report header.
 
     ``queue_config`` and ``topology`` record the default profile's
     multi-queue shape and fabric topology, so ``diff_bench`` refuses to
@@ -157,21 +134,10 @@ def queue_depth(events: dict) -> dict:
     }
 
 
-def mode_capable(names=None):
-    """Experiment ids whose ``run()`` accepts a testbed ``mode=``."""
-    selected = names if names else list(ALL_EXPERIMENTS)
-    return [name for name in selected
-            if "mode" in inspect.signature(ALL_EXPERIMENTS[name]).parameters]
-
-
-def experiment_job(name: str, seed: int = 0, quick: bool = True,
-                   mode=None, warm_snapshots=None) -> Job:
+def experiment_job(name: str, seed: int = 0, quick: bool = True) -> Job:
     """One whole experiment as a job."""
-    key = f"experiment:{name}:seed{seed}"
-    if mode is not None:
-        key = f"{key}:{mode}"
-    return Job(key, run_experiment,
-               (name, seed, quick, None, mode, warm_snapshots))
+    return Job(f"experiment:{name}:seed{seed}", run_experiment,
+               (name, seed, quick))
 
 
 def build_plan(names=None, seed: int = 0,
@@ -323,88 +289,6 @@ def _resolve_out_path(out, outdir) -> pathlib.Path:
     return _claim_bench_path(directory)
 
 
-def run_warm_start(names=None, seed: int = 0, quick: bool = True,
-                   outdir: str = ".", jobs: int = 1,
-                   out=None) -> pathlib.Path:
-    """Cold (``mode="booted"``) vs warm (``mode="warm"``) benchmark.
-
-    The warm cache is primed once, unmeasured, by running each selected
-    experiment in warm mode in-process; the resulting snapshots ship on
-    the warm jobs so pool workers restore instead of booting. Cold and
-    warm jobs then run through the same pool, and the report pairs them
-    per experiment with the derived ``speedup`` / ``events_saved`` /
-    ``rows_identical`` columns the CI gate asserts on.
-    """
-    from repro.experiments.common import clear_warm_cache, export_warm_cache
-    from repro.sim import reset_global_stats
-
-    names = mode_capable(names)
-    if not names:
-        raise SystemExit("no selected experiment accepts a testbed mode; "
-                         f"mode-capable: {', '.join(mode_capable()) or 'none'}")
-
-    print(f"priming warm snapshots for {', '.join(names)} (unmeasured)...")
-    clear_warm_cache()
-    for name in names:
-        ALL_EXPERIMENTS[name](seed=seed, quick=quick, mode="warm")
-    snapshots = export_warm_cache()
-    reset_global_stats()
-    print(f"  {len(snapshots)} testbed snapshot(s) cached")
-
-    start = time.perf_counter()
-    cold_jobs = [experiment_job(name, seed=seed, quick=quick, mode="booted")
-                 for name in names]
-    warm_jobs = [experiment_job(name, seed=seed, quick=quick, mode="warm",
-                                warm_snapshots=snapshots)
-                 for name in names]
-    results = run_suite(cold_jobs + warm_jobs, n_jobs=jobs)
-
-    report = {**_header(jobs, seed, quick), "mode": "warm-start",
-              "experiments": {}}
-    cold_total = warm_total = 0.0
-    for name, cold_job, warm_job in zip(names, cold_jobs, warm_jobs):
-        cold = results[cold_job.key]
-        warm = results[warm_job.key]
-        cold_total += cold.wall_s
-        warm_total += warm.wall_s
-        rows_identical = cold.payload.rows == warm.payload.rows
-        entry = {
-            "cold": {"wall_s": round(cold.wall_s, 6), "events": cold.events,
-                     "queue_depth": queue_depth(cold.events)},
-            "warm": {"wall_s": round(warm.wall_s, 6), "events": warm.events,
-                     "queue_depth": queue_depth(warm.events)},
-            "speedup": round(cold.wall_s / warm.wall_s, 3),
-            "events_saved": (cold.events["events_popped"]
-                             - warm.events["events_popped"]),
-            "rows_identical": rows_identical,
-        }
-        report["experiments"][name] = entry
-        print(f"{name}: cold {cold.wall_s:.3f}s "
-              f"({cold.events['events_popped']} events) vs warm "
-              f"{warm.wall_s:.3f}s ({warm.events['events_popped']} events) "
-              f"-> {entry['speedup']:.2f}x, "
-              f"{entry['events_saved']} events saved")
-        if not rows_identical:
-            print(f"  WARNING {name}: warm rows differ "
-                  f"from cold rows", file=sys.stderr)
-        for payload in (cold.payload, warm.payload):
-            if payload is not None and not payload.passed:
-                failed = "; ".join(c.name for c in payload.failed_checks())
-                print(f"  WARNING {name} checks failed: "
-                      f"{failed}", file=sys.stderr)
-
-    report["cold_total_wall_s"] = round(cold_total, 6)
-    report["warm_total_wall_s"] = round(warm_total, 6)
-    report["speedup"] = round(cold_total / warm_total, 3)
-    report["elapsed_wall_s"] = round(time.perf_counter() - start, 6)
-
-    path = _resolve_out_path(out, outdir)
-    _atomic_write(path, json.dumps(report, indent=2) + "\n")
-    print(f"wrote {path} (cold {cold_total:.3f}s vs warm {warm_total:.3f}s, "
-          f"{report['speedup']:.2f}x)")
-    return path
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("experiments", nargs="*",
@@ -419,15 +303,11 @@ def main(argv=None) -> int:
                              "auto-numbering BENCH_<n>.json")
     parser.add_argument("--outdir", default=".",
                         help="directory for auto-numbered BENCH files")
-    parser.add_argument("--warm-start", action="store_true",
-                        help="benchmark cold (booted) vs warm (snapshot "
-                             "restore) testbeds for mode-capable experiments")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    runner = run_warm_start if args.warm_start else run
-    runner(args.experiments or None, seed=args.seed, quick=not args.full,
-           outdir=args.outdir, jobs=args.jobs, out=args.out)
+    run(args.experiments or None, seed=args.seed, quick=not args.full,
+        outdir=args.outdir, jobs=args.jobs, out=args.out)
     return 0
 
 

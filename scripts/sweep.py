@@ -41,16 +41,14 @@ def seed_key(seed: int) -> str:
     return f"sweep:seed{seed}"
 
 
-def sweep(experiment: str, seeds, quick: bool = True, jobs: int = 1,
-          profile=None) -> dict:
+def sweep(experiment: str, seeds, quick: bool = True, jobs: int = 1) -> dict:
     results = run_suite(
-        [Job(seed_key(seed), seed_summary, (experiment, seed, quick, profile))
+        [Job(seed_key(seed), seed_summary, (experiment, seed, quick))
          for seed in seeds], n_jobs=jobs)
     report = merge_sweep(seeds, results)
     report_header = {
         "experiment": experiment,
         "quick": quick,
-        "profile": profile,
         "seeds": list(seeds),
     }
     return {**report_header, **report}
@@ -126,9 +124,6 @@ def main(argv=None) -> int:
                         help="worker processes (default 1 = in-process)")
     parser.add_argument("--full", action="store_true",
                         help="full-scale runs (quick=False)")
-    parser.add_argument("--profile", default=None,
-                        help="named HardwareProfile preset (paper/asic/gen4) "
-                             "for experiments that accept one")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="also write the report as JSON")
     args = parser.parse_args(argv)
@@ -143,7 +138,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     report = sweep(args.experiment, seeds, quick=not args.full,
-                   jobs=args.jobs, profile=args.profile)
+                   jobs=args.jobs)
     _print_report(report)
     if args.out is not None:
         path = pathlib.Path(args.out)

@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import ALL_EXPERIMENTS, run_experiment
 
 
 def _cmd_list(_args) -> int:
@@ -27,7 +27,7 @@ def _run_many(exp_ids, quick: bool, seed: int) -> int:
     failures = 0
     start = time.time()
     for exp_id in exp_ids:
-        result = ALL_EXPERIMENTS[exp_id](seed=seed, quick=quick)
+        result = run_experiment(exp_id, seed, quick)
         print(result.format_table())
         print()
         failures += not result.passed

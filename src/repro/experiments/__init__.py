@@ -8,9 +8,8 @@ process pool can ship them as job functions.
 """
 
 import hashlib
-import inspect
 import json
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.experiments import (
     ablations,
@@ -58,65 +57,22 @@ ALL_EXPERIMENTS: Dict[str, Callable] = {
 
 def run_all(seed: int = 0, quick: bool = True) -> Dict[str, ExperimentResult]:
     """Run every experiment; returns results keyed by experiment id."""
-    return {exp_id: runner(seed=seed, quick=quick)
-            for exp_id, runner in ALL_EXPERIMENTS.items()}
+    return {exp_id: run_experiment(exp_id, seed, quick)
+            for exp_id in ALL_EXPERIMENTS}
 
 
-def resolve_profile(name: Optional[str]):
-    """Resolve a named :class:`~repro.config.HardwareProfile` preset."""
-    if name is None:
-        return None
-    from repro.config import HardwareProfile
-
-    presets = {"paper": HardwareProfile.paper,
-               "asic": HardwareProfile.asic,
-               "gen4": HardwareProfile.gen4}
-    if name not in presets:
-        raise ValueError(f"unknown profile {name!r}; known: "
-                         f"{', '.join(sorted(presets))}")
-    return presets[name]()
-
-
-def run_experiment(name: str, seed: int, quick: bool,
-                   profile: Optional[str] = None, mode: Optional[str] = None,
-                   warm_snapshots: Optional[tuple] = None) -> ExperimentResult:
-    """Run ``ALL_EXPERIMENTS[name]`` with the knobs the front-ends expose.
-
-    ``profile`` names a :func:`resolve_profile` preset and ``mode`` the
-    testbed start-up fidelity (``fast``/``booted``/``warm``); either is
-    rejected for an experiment whose runner does not accept it.
-    ``warm_snapshots`` are pre-computed
-    :class:`~repro.experiments.common.TestbedSnapshot` objects loaded
-    into the process-wide warm cache first (a ``setdefault``, so a pool
-    worker pays each boot at most once) — every warm start inside the
-    run then restores instead of booting.
-    """
+def run_experiment(name: str, seed: int, quick: bool) -> ExperimentResult:
+    """Run ``ALL_EXPERIMENTS[name]``; the one way every front-end runs
+    an experiment."""
     try:
         runner = ALL_EXPERIMENTS[name]
     except KeyError:
         known = ", ".join(sorted(ALL_EXPERIMENTS))
         raise ValueError(f"unknown experiment {name!r}; known: {known}")
-    if warm_snapshots:
-        from repro.experiments.common import load_warm_cache
-
-        load_warm_cache(warm_snapshots)
-    kwargs = {"seed": seed, "quick": quick}
-    parameters = inspect.signature(runner).parameters
-    if profile is not None:
-        if "profile" not in parameters:
-            raise ValueError(
-                f"experiment {name!r} does not accept a profile")
-        kwargs["profile"] = resolve_profile(profile)
-    if mode is not None:
-        if "mode" not in parameters:
-            raise ValueError(
-                f"experiment {name!r} does not accept a testbed mode")
-        kwargs["mode"] = mode
-    return runner(**kwargs)
+    return runner(seed=seed, quick=quick)
 
 
-def seed_summary(name: str, seed: int, quick: bool = True,
-                 profile: Optional[str] = None) -> Dict:
+def seed_summary(name: str, seed: int, quick: bool = True) -> Dict:
     """One seed of an experiment, summarized as a seed-sweep row.
 
     A compact, JSON-able row: pass/fail, which checks failed, a SHA-256
@@ -124,7 +80,7 @@ def seed_summary(name: str, seed: int, quick: bool = True,
     comparison), and the mean of every numeric row column for
     aggregate statistics.
     """
-    result = run_experiment(name, seed, quick, profile)
+    result = run_experiment(name, seed, quick)
     digest = hashlib.sha256(
         json.dumps(result.rows, sort_keys=True, default=repr).encode()
     ).hexdigest()
@@ -155,7 +111,6 @@ __all__ = [
     "run_all",
     "run_experiment",
     "seed_summary",
-    "resolve_profile",
     "ExperimentResult",
     "Check",
     "check",

@@ -20,8 +20,8 @@ Degraded-path and partition outcomes are recorded against
 attached; link down/up spans always are.
 
 The network registers as a snapshot participant (``fabric:{name}``):
-link state, routing version, and transfer counters round-trip warm
-starts, and tables are recomputed on restore.
+link state, routing version, and transfer counters round-trip
+snapshot/restore, and tables are recomputed on restore.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 :class:`TopologySpec` is a frozen spec dataclass in the
 :mod:`repro.config` mold: it rides on :class:`~repro.config.profile.
-HardwareProfile` (and through ``TestbedBuilder``/``TestbedConfig``),
+HardwareProfile` (and through ``TestbedBuilder.topology``),
 round-trips through dicts/JSON, and is validated on construction.
 
 The default is the *single-hop* fabric (``n_racks=0``): no

@@ -23,8 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from repro.parallel.jobs import Job, JobResult, check_unique_keys, execute
-from repro.parallel.merge import (VOLATILE_KEYS, WALL_KEYS, bench_diff,
-                                  strip_volatile)
+from repro.parallel.merge import VOLATILE_KEYS, bench_diff, strip_volatile
 from repro.parallel.pool import (JobFailed, WorkerCrashed, WorkerPool,
                                  default_jobs)
 
@@ -38,7 +37,6 @@ __all__ = [
     "JobResult",
     "execute",
     "VOLATILE_KEYS",
-    "WALL_KEYS",
     "strip_volatile",
     "bench_diff",
 ]

@@ -12,9 +12,9 @@ modulo wall time" comparison the CI gate and the tests use.
 from __future__ import annotations
 
 import copy
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
-__all__ = ["VOLATILE_KEYS", "WALL_KEYS", "strip_volatile", "bench_diff"]
+__all__ = ["VOLATILE_KEYS", "strip_volatile", "bench_diff"]
 
 # Report fields that legitimately differ between two otherwise
 # equivalent runs: wall-clock measurements and run-metadata stamps.
@@ -30,10 +30,6 @@ VOLATILE_KEYS = frozenset({
     "attempts",
     "throughput",
 })
-
-# The wall-clock subset of VOLATILE_KEYS: with a tolerance these are
-# *compared* (within a relative bound) instead of ignored.
-WALL_KEYS = frozenset({"wall_s", "total_wall_s", "elapsed_wall_s"})
 
 # Report header blocks that name the configuration a report was
 # produced under, with what a mismatch means.
@@ -77,33 +73,16 @@ def _zero_like(value) -> bool:
 
 
 def bench_diff(a: dict, b: dict,
-               wall_tolerance: Optional[float] = None,
-               ignore_keys: Iterable[str] = (),
-               wall_floor_s: float = 0.0) -> List[str]:
+               ignore_keys: Iterable[str] = ()) -> List[str]:
     """Differences between two BENCH reports modulo volatile fields.
 
     Returns human-readable difference lines; empty means equivalent.
 
-    With ``wall_tolerance`` (a relative fraction, e.g. ``0.25`` for
-    25%), the wall-clock fields are no longer ignored: each pair must
-    agree within ``tolerance * max(|a|, |b|)``. That turns the
-    comparison from "identical modulo wall time" into "identical, and
-    no slower than X%" — the regression gate
-    ``scripts/diff_bench.py --tolerance`` exposes.
-
     ``ignore_keys`` adds report keys to the ignored set, e.g. a
     header field one side of the comparison predates.
-
-    ``wall_floor_s`` is an absolute noise floor for the tolerance
-    comparison: wall differences below it always pass. A relative
-    bound alone is meaningless for millisecond-scale experiments,
-    where scheduler jitter routinely exceeds any sane percentage.
     """
     differences: List[str] = []
-    ignored = VOLATILE_KEYS if wall_tolerance is None else (
-        VOLATILE_KEYS - WALL_KEYS)
-    if ignore_keys:
-        ignored = ignored | frozenset(ignore_keys)
+    ignored = VOLATILE_KEYS | frozenset(ignore_keys)
 
     # Reports produced under a different multi-queue datapath shape or
     # fabric topology are incomparable: every row legitimately differs
@@ -140,16 +119,6 @@ def bench_diff(a: dict, b: dict,
                 elif key not in right:
                     if not _zero_like(left[key]):
                         differences.append(f"{child}: only in first")
-                elif (key in WALL_KEYS and wall_tolerance is not None
-                      and isinstance(left[key], (int, float))
-                      and isinstance(right[key], (int, float))):
-                    l, r = left[key], right[key]
-                    limit = max(wall_tolerance * max(abs(l), abs(r), 1e-9),
-                                wall_floor_s)
-                    if abs(l - r) > limit:
-                        differences.append(
-                            f"{child}: {l!r} vs {r!r} differs by more "
-                            f"than {wall_tolerance:.0%}")
                 else:
                     walk(child, left[key], right[key])
         elif isinstance(left, list) and isinstance(right, list):

@@ -575,8 +575,8 @@ class Simulator:
         and participant states, after which the simulation's future
         evolution is bit-identical to the original's.
 
-        By default the kernel counters are zeroed so a warm-started
-        run reports only its own event traffic; ``restore_stats=True``
+        By default the kernel counters are zeroed so a restored run
+        reports only its own event traffic; ``restore_stats=True``
         continues the original counters instead.
         """
         pending = len(self._queue)

@@ -1,4 +1,4 @@
-"""Kernel snapshot/restore: warm-starting a simulation.
+"""Kernel snapshot/restore: rebuilding a simulation mid-flight.
 
 A :class:`KernelSnapshot` captures everything the kernel needs to make
 a *rebuilt* simulation evolve bit-identically to the one it was taken
@@ -21,14 +21,18 @@ is therefore a *rebuild protocol*, not deserialization:
 3. Apply the kernel snapshot **last**: clock, counter, RNG states, and
    each participant's ``restore_state``. From that point every
    schedule call draws the same counters, every draw the same bits,
-   and every doorbell ring replays the same poll grid — so the warm
-   simulation's future is indistinguishable from the original's.
+   and every doorbell ring replays the same poll grid — so the
+   restored simulation's future is indistinguishable from the original's.
 
 A participant is any object registered through
 ``Simulator.register_participant(key, obj)`` exposing
 ``snapshot_state() -> dict`` and ``restore_state(dict)``. Keys must be
 deterministic functions of the construction recipe (guest names,
 device labels) so the rebuilt graph re-registers the same set.
+
+The chaos runner's ``checkpoint=True`` mode uses this protocol as a
+rebuild check: it snapshots a freshly built scenario, rebuilds it, and
+restores before running the campaign.
 """
 
 from __future__ import annotations
@@ -53,8 +57,7 @@ class KernelSnapshot:
     """Portable kernel state at one quiescent point.
 
     Everything inside is plain Python/ints/floats, so snapshots pickle
-    cheaply across process boundaries (``repro.parallel`` ships one to
-    every worker) and survive JSON round-trips for debugging.
+    cheaply and survive JSON round-trips for debugging.
     """
 
     now: float

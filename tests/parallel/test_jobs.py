@@ -5,8 +5,8 @@ import pickle
 import pytest
 
 from repro.chaos import sweep_campaign
-from repro.experiments import (chaos_campaign, region_scale, resolve_profile,
-                               run_experiment, seed_summary)
+from repro.experiments import (chaos_campaign, region_scale, run_experiment,
+                               seed_summary)
 from repro.experiments.base import Check, ExperimentResult
 from repro.parallel import Job, execute
 
@@ -17,7 +17,7 @@ class TestPickling:
         Job("shard:region_scale:seed1:2", region_scale.run_shard,
             (region_scale.shard_plan(seed=1, quick=True)[2],)),
         Job("chaos:seed7", sweep_campaign, (7, True, 50)),
-        Job("sweep:seed4", seed_summary, ("fig13", 4, True, "paper")),
+        Job("sweep:seed4", seed_summary, ("fig13", 4, True)),
     ])
     def test_jobs_round_trip(self, job):
         assert pickle.loads(pickle.dumps(job)) == job
@@ -50,16 +50,11 @@ class TestExecute:
         with pytest.raises(ValueError, match="unknown experiment"):
             execute(Job("nope", run_experiment, ("nope", 0, True)))
 
-    def test_profile_rejected_when_runner_cannot_take_it(self):
-        with pytest.raises(ValueError, match="profile"):
-            execute(Job("fig13", run_experiment,
-                        ("fig13", 0, True, "paper")))
-
-    def test_resolve_profile(self):
-        assert resolve_profile(None) is None
-        assert resolve_profile("paper") is not None
-        with pytest.raises(ValueError, match="unknown profile"):
-            resolve_profile("turbo")
+    def test_experiment_job_keeps_historical_key(self, load_script):
+        job = load_script("export_bench").experiment_job("fig9", seed=3)
+        assert job.key == "experiment:fig9:seed3"
+        result = execute(job)
+        assert result.payload.passed
 
 
 class TestExperimentShards:
