@@ -15,8 +15,9 @@ quantities, so two runs with the same seed list produce identical
 files (CI diffs them to prove it). On any failing campaign the plan is
 delta-debugged down to a minimal reproducer and written as
 ``chaos_minimized_seed<k>.json`` — a :class:`FaultPlan` JSON that
-round-trips through ``HardwareProfile.faults`` — and the sweep exits
-non-zero.
+replays the failure when loaded with ``FaultPlan.from_json`` and run
+through ``CampaignRunner(...).run(seed, plan=...)`` with the same
+monitors — and the sweep exits non-zero.
 
 ``--inject-regression`` installs a deliberately broken monitor
 (:class:`~repro.chaos.monitors.RegressionProbeMonitor`) to prove the

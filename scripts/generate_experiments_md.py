@@ -53,11 +53,11 @@ def main():
         "constants). To rerun a datapath experiment on alternate hardware,",
         "build the testbed with another preset — e.g.",
         "`make_testbed(profile=HardwareProfile.asic())` or",
-        "`TestbedBuilder().profile(\"gen4\").servers(3).build()` — or sweep a",
-        "single field via `HardwareProfile.from_dict` on an edited",
-        "`to_dict()`. The `ablations` experiment below does exactly this:",
-        "its FPGA-vs-ASIC rows are two end-to-end runs of the same fio",
-        "workload under `paper()` and `asic()`.",
+        "`TestbedBuilder().profile(\"gen4\").servers(3).build()` — or vary a",
+        "single field of a preset with `dataclasses.replace`. The `ablations`",
+        "experiment below uses the presets directly: its FPGA-vs-ASIC rows",
+        "are two end-to-end runs of the same fio workload under `paper()`",
+        "and `asic()`.",
         "",
     ]
     summary_at = len(lines)

@@ -7,7 +7,6 @@ from repro.backend.media import CLOUD_SSD, LOCAL_NVME, Ssd, SsdSpec
 from repro.backend.spdk import SpdkSpec, SpdkStorage
 from repro.backend.switching import FlowCache, ForwardingPlane, MacTable
 from repro.backend.tap import TapBackend, TapSpec
-from repro.backend.vxlan import OverlayNetwork, VxlanHeader, VxlanSegment
 from repro.backend.vhost import (
     VhostRequest,
     VhostUserBackend,
@@ -40,7 +39,4 @@ __all__ = [
     "MacTable",
     "FlowCache",
     "ForwardingPlane",
-    "OverlayNetwork",
-    "VxlanHeader",
-    "VxlanSegment",
 ]

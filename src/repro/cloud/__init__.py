@@ -25,7 +25,6 @@ from repro.cloud.inventory import (
     instance,
     table3_rows,
 )
-from repro.cloud.maintenance import MaintenanceReport, MaintenanceWindow
 from repro.cloud.power import PowerComparison, compare_power
 from repro.cloud.pricing import (
     BMHIVE_SERVER,
@@ -72,8 +71,6 @@ __all__ = [
     "Quota",
     "QuotaLedger",
     "QuotaExceeded",
-    "MaintenanceWindow",
-    "MaintenanceReport",
     "TIERS",
     "AdmissionController",
     "AdmissionPolicy",

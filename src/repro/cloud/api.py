@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.backend.fabric import Fabric
-from repro.backend.vxlan import OverlayNetwork
 from repro.cloud.admission import AdmissionController, AdmissionPolicy
 from repro.cloud.audit import AuditLog
 from repro.cloud.health import FleetHealth, HealthPolicy
@@ -60,7 +59,6 @@ class CloudController:
         self.instances: Dict[str, InstanceRecord] = {}
         self.audit = AuditLog(sim)
         self.quotas = QuotaLedger()
-        self.overlay = OverlayNetwork()
         # Resilience layer (DESIGN.md §13): server outages and health
         # transitions land in the same ledger the fault stack uses, and
         # every create passes the admission gate before scheduling.
@@ -95,8 +93,7 @@ class CloudController:
         The request first passes the admission gate (circuit breaker +
         per-tier token bucket; raises :class:`~repro.cloud.admission.
         AdmissionRejected` when shed or rate-limited), then quotas are
-        charged, the action is audited, and the tenant gets (or reuses)
-        an isolated overlay segment.
+        charged and the action is audited.
         """
         itype: InstanceType = instance(type_name)
         self.admission.admit(tier, tenant=tenant)
@@ -106,7 +103,6 @@ class CloudController:
         except Exception:
             self.scheduler.release(placement.instance_id)
             raise
-        self.overlay.attach_tenant(tenant)
         if itype.kind == "bm":
             server = self.bm_servers[placement.server]
             guest = server.launch_guest(

@@ -8,8 +8,8 @@ maintenance. This module adds the machinery (DESIGN.md §13):
   ``healthy -> suspect -> quarantined -> draining -> repairing ->
   healthy``, with only the legal transitions accepted;
 * :class:`FleetHealth` — folds fleet-level probe results and per-board
-  :class:`~repro.hypervisor.health.BoardHealth` signals (the Watchdog
-  vocabulary) into those states, drives the scheduler's quarantine
+  :class:`~repro.hypervisor.health.BoardHealth` verdicts (set by
+  region faults) into those states, drives the scheduler's quarantine
   set, and mirrors server outages into availability accounting;
 * :class:`RemediationPipeline` — a seeded detect → quarantine → drain
   → repair → readmit workflow with exactly-once semantics: one open
@@ -237,11 +237,11 @@ class FleetHealth:
 
     def ingest_board_health(self, name: str,
                             board_state: BoardHealth) -> ServerHealthState:
-        """Fold a Watchdog :class:`BoardHealth` signal into the machine.
+        """Fold a board's :class:`BoardHealth` verdict into the machine.
 
         A HEALTHY board counts as a passed probe; SUSPECT or RESET
         counts as a miss (the same threshold machinery applies, so one
-        watchdog blip makes the server SUSPECT and a persistent hang
+        bad verdict makes the server SUSPECT and a persistent hang
         quarantines it).
         """
         return self.report_probe(

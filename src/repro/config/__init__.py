@@ -19,7 +19,6 @@ from repro.config.profile import (
     HardwareProfile,
     PollSpec,
     QueueSpec,
-    spec_from_dict,
     spec_to_dict,
 )
 from repro.guest.kernel import KernelSpec
@@ -38,7 +37,6 @@ __all__ = [
     "PollSpec",
     "QueueSpec",
     "spec_to_dict",
-    "spec_from_dict",
     "PcieLinkSpec",
     "IoBondSpec",
     "DmaEngineSpec",

@@ -17,16 +17,16 @@ constructor injection. Named presets pin the interesting design points:
   (0.2 µs per PCI hop instead of 0.8 µs);
 * :meth:`HardwareProfile.gen4` — PCIe Gen4 links (16 Gb/s/lane).
 
-Profiles round-trip through plain dicts/JSON so sweep scripts can
-mutate one field and rebuild a testbed without touching code.
+Sweep scripts vary one field with :func:`dataclasses.replace` and
+rebuild a testbed without touching code; :func:`spec_to_dict` renders a
+spec as plain JSON for report headers.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Dict
 
 from repro.backend.dpdk import DpdkSpec
 from repro.backend.fabric import FabricSpec
@@ -40,7 +40,6 @@ from repro.hw.dma import DmaEngineSpec
 from repro.hw.interrupts import InterruptSpec
 from repro.hw.pcie import GEN4_PER_LANE_GBPS, PcieLinkSpec
 from repro.hypervisor.bm import BmHypervisorSpec
-from repro.faults.spec import FaultPlan
 from repro.hypervisor.kvm import HostSchedulerSpec, KvmSpec
 from repro.iobond.bond import IoBondSpec
 
@@ -51,7 +50,6 @@ __all__ = [
     "QueueSpec",
     "HardwareProfile",
     "spec_to_dict",
-    "spec_from_dict",
 ]
 
 
@@ -135,10 +133,6 @@ class HardwareProfile:
     # (``n_racks=0``): no FabricNetwork is constructed and the
     # single-hop fabric stays byte-identical to pre-topology builds.
     topology: TopologySpec = field(default_factory=TopologySpec)
-    # Optional fault schedule (repro.faults). ``None`` — the default
-    # everywhere — means no fault machinery is even constructed, so
-    # fault-free profiles stay bit-identical to pre-faults builds.
-    faults: Optional[FaultPlan] = None
 
     def __post_init__(self):
         _validate(self, "profile")
@@ -174,24 +168,9 @@ class HardwareProfile:
             known = ", ".join(sorted(presets))
             raise ValueError(f"unknown profile {name!r}; one of: {known}") from None
 
-    # -- round-trip --------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HardwareProfile":
-        return spec_from_dict(cls, data)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "HardwareProfile":
-        return cls.from_dict(json.loads(text))
-
 
 # ---------------------------------------------------------------------------
-# Generic dataclass <-> dict machinery
+# Generic dataclass -> dict rendering
 # ---------------------------------------------------------------------------
 def spec_to_dict(spec) -> Dict[str, Any]:
     """Recursively convert a spec dataclass to a plain JSON-able dict."""
@@ -206,41 +185,6 @@ def _to_jsonable(value):
         return spec_to_dict(value)
     if isinstance(value, (list, tuple)):
         return [_to_jsonable(item) for item in value]
-    return value
-
-
-def spec_from_dict(cls, data: Dict[str, Any]):
-    """Rebuild ``cls`` (and nested spec dataclasses) from a plain dict."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{cls.__name__}: expected a dict, got {type(data).__name__}")
-    hints = get_type_hints(cls)
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"{cls.__name__}: unknown fields {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        kwargs[name] = _from_jsonable(hints.get(name), value)
-    return cls(**kwargs)
-
-
-def _from_jsonable(target, value):
-    """Rebuild one field value, unwrapping Optional[...] and Tuple[...]."""
-    if dataclasses.is_dataclass(target):
-        return spec_from_dict(target, value)
-    origin = get_origin(target)
-    if origin is Union:  # Optional[X] is Union[X, None]
-        if value is None:
-            return None
-        inner = [a for a in get_args(target) if a is not type(None)]
-        if len(inner) == 1:
-            return _from_jsonable(inner[0], value)
-        return value
-    if origin in (tuple, list):
-        args = get_args(target)
-        if args and dataclasses.is_dataclass(args[0]):
-            items = [_from_jsonable(args[0], item) for item in value]
-            return tuple(items) if origin is tuple else items
     return value
 
 

@@ -21,7 +21,7 @@ of campaign seeds and holds the stack to three standards at once:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.chaos import CampaignRunner
 from repro.experiments.base import ExperimentResult, check
@@ -148,7 +148,6 @@ def merge_shards(seed: int, quick: bool,
     return ExperimentResult(EXPERIMENT_ID, TITLE, rows, checks, notes=notes)
 
 
-def run(seed: int = 0, quick: bool = True,
-        trace_path: Optional[str] = None) -> ExperimentResult:
+def run(seed: int = 0, quick: bool = True) -> ExperimentResult:
     shards = shard_plan(seed=seed, quick=quick)
     return merge_shards(seed, quick, [run_shard(spec) for spec in shards])

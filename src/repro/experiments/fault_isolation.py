@@ -23,7 +23,7 @@ the chassis, the fabric NIC, and the supervisor.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.backend.media import CLOUD_SSD
 from repro.backend.spdk import SpdkStorage
@@ -38,7 +38,6 @@ from repro.faults import (
     Supervisor,
 )
 from repro.sim import Simulator
-from repro.sim.trace import Tracer
 from repro.virtio.reliability import RetryPolicy
 
 EXPERIMENT_ID = "fault_isolation"
@@ -56,8 +55,7 @@ def _run_scenario(seed: int, plan: FaultPlan, n_requests: int):
     """One complete two-guest run under ``plan``; returns all actors."""
     sim = Simulator(seed=seed)
     server = BmHiveServer(sim)
-    tracer = Tracer(sim)
-    accounting = AvailabilityAccounting(sim, tracer=tracer)
+    accounting = AvailabilityAccounting(sim)
     supervisor = Supervisor(sim, accounting=accounting)
     injector = FaultInjector(sim, plan, accounting=accounting)
 
@@ -81,18 +79,17 @@ def _run_scenario(seed: int, plan: FaultPlan, n_requests: int):
     # Close any down span still open at the horizon so downtime/MTTR
     # are final numbers, not moving targets of "now".
     accounting.finalize()
-    return sim, loads, supervisor, accounting, tracer
+    return sim, loads, supervisor, accounting
 
 
-def run(seed: int = 0, quick: bool = True,
-        trace_path: Optional[str] = None) -> ExperimentResult:
+def run(seed: int = 0, quick: bool = True) -> ExperimentResult:
     n_requests = 48 if quick else 160
     plan = FaultPlan.of(
         FaultSpec(kind="hypervisor_crash", target="victim", at_s=CRASH_AT_S)
     )
-    sim_f, faulted, supervisor, accounting, tracer = _run_scenario(
+    sim_f, faulted, supervisor, accounting = _run_scenario(
         seed, plan, n_requests)
-    sim_0, clean, _, _, _ = _run_scenario(seed, FaultPlan.none(), n_requests)
+    sim_0, clean, _, _ = _run_scenario(seed, FaultPlan.none(), n_requests)
 
     victim = faulted["victim"]
     cotenant = faulted["cotenant"]
@@ -148,8 +145,6 @@ def run(seed: int = 0, quick: bool = True,
         check("fault-free co-tenant run is clean",
               clean["cotenant"].retries == 0 and not clean["cotenant"].failures),
     ]
-    if trace_path is not None:
-        tracer.write_chrome_trace(trace_path)
     notes = (f"crash at {CRASH_AT_S * 1e3:.2f} ms; victim MTTR "
              f"{accounting.mttr('victim') * 1e3:.2f} ms; clocks "
              f"fault={sim_f.now:.3f}s clean={sim_0.now:.3f}s")

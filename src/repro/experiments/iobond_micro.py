@@ -11,46 +11,38 @@ simulated hardware (not by reading the spec constants back):
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.base import ExperimentResult, check, check_between
 from repro.iobond import IoBond, IoBondSpec
 from repro.sim import Simulator
-from repro.sim.trace import Tracer
 from repro.virtio import VirtioNetDevice, full_init
 
 EXPERIMENT_ID = "iobond_micro"
 TITLE = "IO-Bond microbenchmarks: PCI access latency, DMA throughput"
 
 
-def _measure_pci_access(sim, bond, port, tracer: Tracer) -> float:
+def _measure_pci_access(sim, bond, port) -> float:
     start = sim.now
-    with tracer.span(bond.name, "guest_pci_access"):
-        sim.run_process(bond.guest_pci_access(port, "device_status"))
+    sim.run_process(bond.guest_pci_access(port, "device_status"))
     return sim.now - start
 
 
-def _measure_dma_gbps(sim, bond, tracer: Tracer, nbytes: int = 1 << 20) -> float:
+def _measure_dma_gbps(sim, bond, nbytes: int = 1 << 20) -> float:
     start = sim.now
-    with tracer.span(bond.name, f"dma_copy_{nbytes}B"):
-        sim.run_process(bond.dma.copy(nbytes))
+    sim.run_process(bond.dma.copy(nbytes))
     elapsed = sim.now - start
     return nbytes * 8.0 / elapsed / 1e9
 
 
-def run(seed: int = 0, quick: bool = True,
-        trace_path: Optional[str] = None) -> ExperimentResult:
+def run(seed: int = 0, quick: bool = True) -> ExperimentResult:
     sim = Simulator(seed=seed)
-    tracer = Tracer(sim)
     fpga = IoBond(sim, IoBondSpec.fpga(), name="fpga")
     fpga_port = fpga.add_port("net", full_init(VirtioNetDevice()))
     asic = IoBond(sim, IoBondSpec.asic(), name="asic")
     asic_port = asic.add_port("net", full_init(VirtioNetDevice()))
 
-    fpga_access = _measure_pci_access(sim, fpga, fpga_port, tracer)
-    asic_access = _measure_pci_access(sim, asic, asic_port, tracer)
-    tracer.mark("fpga", "dma_start")
-    dma_gbps = _measure_dma_gbps(sim, fpga, tracer)
+    fpga_access = _measure_pci_access(sim, fpga, fpga_port)
+    asic_access = _measure_pci_access(sim, asic, asic_port)
+    dma_gbps = _measure_dma_gbps(sim, fpga)
     x4_gbps = fpga_port.board_link.spec.bandwidth_bps / 1e9
     guest_max = fpga.max_guest_bandwidth_gbps
 
@@ -75,6 +67,4 @@ def run(seed: int = 0, quick: bool = True,
         check("x4 device link is 32 Gb/s", abs(x4_gbps - 32.0) < 0.1),
         check("per-guest bandwidth capped at 50 Gb/s", abs(guest_max - 50.0) < 0.1),
     ]
-    if trace_path is not None:
-        tracer.write_chrome_trace(trace_path)
     return ExperimentResult(EXPERIMENT_ID, TITLE, rows, checks)

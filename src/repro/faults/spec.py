@@ -4,8 +4,9 @@ A :class:`FaultPlan` is configuration, not mechanism: it names which
 fault hits which component at which simulated time, and nothing runs
 until a :class:`~repro.faults.injector.FaultInjector` arms it against
 a testbed. Plans are frozen dataclasses (hashable, JSON round-trip)
-so they can ride along in :class:`repro.config.HardwareProfile` and
-in experiment records.
+so they can be written into reports and replayed from them.
+:class:`repro.chaos.campaign.CampaignGenerator` draws the random
+plans that chaos campaigns run.
 
 Determinism rules
 -----------------
@@ -13,16 +14,13 @@ Determinism rules
   replay the identical fault schedule, trace events, and final clock.
 * ``FaultPlan.none()`` schedules nothing and draws nothing: arming it
   is bit-identical to not constructing an injector at all.
-* :meth:`FaultPlan.sample` draws from a dedicated named RNG stream
-  (``faults.plan``); named streams are independently seeded, so
-  sampling a plan never perturbs any other stream in the simulation.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Tuple
 
 __all__ = ["FAULT_KINDS", "BACKEND_TARGETS", "FABRIC_KINDS",
            "REGION_KINDS", "FaultSpec", "FaultPlan"]
@@ -215,57 +213,6 @@ class FaultPlan:
             + (f"  param={f.param:g}" if f.param else "")
             for f in self.schedule()
         )
-
-    @classmethod
-    def sample(cls, streams, horizon_s: float, targets: Sequence[str],
-               kinds: Iterable[str] = ("hypervisor_crash",),
-               mean_interval_s: float = 1.0, duration_s: float = 1e-3,
-               param: float = 0.0, port: str = "blk",
-               stream: str = "faults.plan") -> "FaultPlan":
-        """Draw a random plan from a dedicated seeded stream.
-
-        Per (target, kind) pair, arrival times are a Poisson process of
-        mean spacing ``mean_interval_s``, truncated at ``horizon_s``.
-        The draw order is fixed (targets outer, kinds inner, arrivals
-        in time order), so the same seed always yields the same plan.
-
-        Fabric and region kinds pair only with targets of their shape —
-        a link name (``"a|b"``) for ``link_flap``, a switch name for
-        ``switch_crash``/``tor_down``, a rack name (``"rack-N"``) for
-        ``rack_power`` — so a mixed guest/fabric/region target list
-        draws each kind against its own victims. Incompatible pairs are
-        skipped *before* any draw, leaving legacy (guest-kind-only)
-        sampling sequences untouched.
-        """
-        if horizon_s <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon_s}")
-        rng = streams.get(stream)
-        faults = []
-        for target in targets:
-            for kind in kinds:
-                if kind == "link_flap" and "|" not in target:
-                    continue
-                if kind == "switch_crash" and "|" in target:
-                    continue
-                if kind not in FABRIC_KINDS and "|" in target:
-                    continue
-                if kind == "rack_power" and not target.startswith("rack-"):
-                    continue
-                if kind == "tor_down" and not target.startswith("tor-"):
-                    continue
-                if kind == "correlated_board_hang" and \
-                        target.startswith(("rack-", "tor-", "spine-")):
-                    continue
-                if kind not in REGION_KINDS and target.startswith("rack-"):
-                    continue
-                t = float(rng.exponential(mean_interval_s))
-                while t < horizon_s:
-                    faults.append(FaultSpec(
-                        kind=kind, target=target, at_s=t,
-                        duration_s=duration_s, param=param, port=port,
-                    ))
-                    t += float(rng.exponential(mean_interval_s))
-        return cls(faults=tuple(sorted(faults, key=lambda f: f.at_s)))
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> Dict:

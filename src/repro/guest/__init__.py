@@ -6,7 +6,6 @@ from repro.guest.firmware import (
     FirmwareImage,
     SignatureError,
 )
-from repro.guest.cloudinit import InstanceMetadata, ProvisioningResult, provision_guest
 from repro.guest.image import BOOTLOADER_SECTOR, KERNEL_SECTOR, VmImage
 from repro.guest.kernel import GuestKernel, KernelSpec
 
@@ -20,7 +19,4 @@ __all__ = [
     "FirmwareImage",
     "SignatureError",
     "BootRecord",
-    "InstanceMetadata",
-    "ProvisioningResult",
-    "provision_guest",
 ]

@@ -1,7 +1,7 @@
 """Hypervisor layer: the KVM baseline and the bm-hypervisor."""
 
 from repro.hypervisor.bm import BmHypervisor, BmHypervisorSpec, GuestState
-from repro.hypervisor.health import BoardHealth, Watchdog, WatchdogSpec
+from repro.hypervisor.health import BoardHealth
 from repro.hypervisor.features import (
     KvmFeatureSet,
     apply_features,
@@ -26,7 +26,5 @@ __all__ = [
     "live_upgrade",
     "LiveUpgradeRecord",
     "HypervisorState",
-    "Watchdog",
-    "WatchdogSpec",
     "BoardHealth",
 ]

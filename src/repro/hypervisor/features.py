@@ -12,9 +12,9 @@ virtualization overhead instead of removing it:
   preemption problem.
 
 Each mitigation shrinks one overhead term of the KVM model; none of
-them reaches zero — which is the paper's argument. The ablation
-experiment sweeps these toggles to show how close an aggressively
-tuned vm-guest can get to a bm-guest.
+them reaches zero — which is the paper's argument. No experiment
+sweeps these toggles yet; the unit tests show how close an
+aggressively tuned vm-guest can get to a bm-guest.
 """
 
 from __future__ import annotations

@@ -1,139 +1,20 @@
-"""Board health monitoring and recovery.
+"""Per-board health verdicts.
 
 The bm-hypervisor "controls [the guests'] execution via the PCIe
-interface" (Section 1) — including noticing when a board stops
-responding. The watchdog polls a heartbeat register exposed through
-IO-Bond's mailbox path; after ``misses_before_reset`` silent periods
-it power-cycles the board, exactly the remediation an operator expects
-from a managed bare-metal service.
+interface" (Section 1), including noticing when a board stops
+responding. The region model (``repro.fleet.region``) marks a board
+SUSPECT when a correlated board-hang fault lands on it, and its probe
+loop folds the verdict into :class:`~repro.cloud.health.FleetHealth`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional
 
-from repro.sim.doorbell import Doorbell
-from repro.sim.events import TRIGGERED, Event
-
-__all__ = ["BoardHealth", "Watchdog", "WatchdogSpec"]
+__all__ = ["BoardHealth"]
 
 
 class BoardHealth(enum.Enum):
     HEALTHY = "healthy"
     SUSPECT = "suspect"
     RESET = "reset"
-
-
-@dataclass(frozen=True)
-class WatchdogSpec:
-    heartbeat_interval_s: float = 1.0
-    misses_before_reset: int = 3
-    reset_hold_s: float = 5.0  # PCIe power off/on dwell
-
-
-@dataclass
-class Watchdog:
-    """Heartbeat watchdog for one compute board."""
-
-    sim: object
-    board: object
-    spec: WatchdogSpec = field(default_factory=WatchdogSpec)
-    state: BoardHealth = BoardHealth.HEALTHY
-    missed: int = 0
-    resets: int = 0
-    history: List[BoardHealth] = field(default_factory=list)
-    _alive: bool = True
-    _doorbell: Optional[Doorbell] = None
-
-    def heartbeat(self) -> None:
-        """The board's firmware pings this each interval while alive."""
-        self.missed = 0
-        if self.state is not BoardHealth.HEALTHY:
-            self.state = BoardHealth.HEALTHY
-        self.history.append(self.state)
-
-    def hang(self) -> None:
-        """Test hook: the guest wedges and heartbeats stop."""
-        self._alive = False
-        if self._doorbell is not None:
-            # Wake a parked monitor so the miss is charged on the next
-            # heartbeat tick, exactly as busy polling would notice it.
-            self._doorbell.ring()
-
-    def revive(self) -> None:
-        self._alive = True
-
-    def monitor(self, periods: int):
-        """Process: run ``periods`` heartbeat checks.
-
-        Each period, a healthy board heartbeats; a hung one misses.
-        After ``misses_before_reset`` consecutive misses the board is
-        power-cycled, which also un-wedges it (fresh boot).
-
-        While the board is healthy the monitor parks on a doorbell
-        instead of waking every period (PR 1 idle-skip): :meth:`hang`
-        rings it, the wakeup lands on the exact heartbeat tick the
-        fixed-grid loop would have used, and the heartbeats skipped
-        while parked are backfilled — history, state, reset count, and
-        the final clock stay bit-identical to busy polling.
-        """
-        interval = self.spec.heartbeat_interval_s
-        if self._doorbell is None:
-            self._doorbell = Doorbell(self.sim, interval)
-        bell = self._doorbell
-        remaining = periods
-        while remaining > 0:
-            if (bell.enabled and self._alive and self.missed == 0
-                    and self.state is BoardHealth.HEALTHY):
-                wake = bell.park()
-                anchor = self.sim.now
-                # Monitor-complete deadline: replay the remaining grid
-                # ticks with chained additions (never multiplication) so
-                # the end time is bit-identical to stepping every tick.
-                end_tick = anchor
-                for _ in range(remaining):
-                    end_tick += interval
-                limit = Event(self.sim)
-                limit._ok = True
-                limit._state = TRIGGERED
-                self.sim._schedule_at(end_tick, limit)
-                yield self.sim.any_of([wake, limit])
-                bell.cancel()
-                # Index of the wake tick on the chained grid; every
-                # earlier tick was a healthy heartbeat to backfill.
-                tick = anchor + interval
-                elapsed = 1
-                while tick < self.sim.now:
-                    tick += interval
-                    elapsed += 1
-                remaining -= elapsed
-                for _ in range(elapsed - 1):
-                    self.heartbeat()
-                if self._alive:
-                    self.heartbeat()
-                    continue
-            else:
-                yield self.sim.timeout(interval)
-                remaining -= 1
-                if self._alive:
-                    self.heartbeat()
-                    continue
-            self.missed += 1
-            self.state = BoardHealth.SUSPECT
-            self.history.append(self.state)
-            if self.missed >= self.spec.misses_before_reset:
-                yield from self._reset()
-
-    def _reset(self):
-        self.state = BoardHealth.RESET
-        self.history.append(self.state)
-        if self.board.is_on:
-            self.board.power_off()
-        yield self.sim.timeout(self.spec.reset_hold_s)
-        self.board.power_on()
-        self.resets += 1
-        self.missed = 0
-        self._alive = True  # the fresh boot heartbeats again
-        self.state = BoardHealth.HEALTHY

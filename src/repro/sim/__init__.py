@@ -3,7 +3,7 @@
 The kernel is the substrate for every hardware and software model in
 this reproduction: generator-based processes, an event heap, shared
 resources, token-bucket rate limiters, named random streams, and
-latency/throughput collectors.
+latency summaries.
 """
 
 from repro.sim.core import (
@@ -22,16 +22,7 @@ from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store, TokenBucket
 from repro.sim.trace import PointEvent, Span, Tracer
-from repro.sim.stats import (
-    LatencyRecorder,
-    LatencySummary,
-    ThroughputMeter,
-    TimeWeightedStat,
-    from_gbps,
-    gbps,
-    mib_per_s,
-    summarize,
-)
+from repro.sim.stats import LatencySummary, gbps, summarize
 
 __all__ = [
     "Simulator",
@@ -55,14 +46,9 @@ __all__ = [
     "Resource",
     "Store",
     "TokenBucket",
-    "LatencyRecorder",
     "LatencySummary",
-    "ThroughputMeter",
-    "TimeWeightedStat",
     "summarize",
     "gbps",
-    "from_gbps",
-    "mib_per_s",
     "Tracer",
     "Span",
     "PointEvent",

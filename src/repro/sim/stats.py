@@ -1,19 +1,18 @@
-"""Measurement collectors used by every experiment.
+"""Summary statistics used by every experiment.
 
-The paper reports means, tail percentiles (99th / 99.9th), throughput
-(requests per second, PPS, IOPS, QPS) and bandwidth. These collectors
-compute all of them from raw samples.
+The paper reports means, tail percentiles (99th / 99.9th) and
+bandwidth. :func:`summarize` reduces raw latency samples to those
+statistics and :func:`gbps` converts byte rates to the paper's unit.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
-__all__ = ["LatencyRecorder", "ThroughputMeter", "TimeWeightedStat", "summarize"]
+__all__ = ["LatencySummary", "gbps", "summarize"]
 
 
 @dataclass
@@ -59,131 +58,6 @@ def summarize(samples) -> LatencySummary:
     )
 
 
-class LatencyRecorder:
-    """Accumulates latency samples; computes mean and tail percentiles."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.samples: List[float] = []
-
-    def record(self, latency: float) -> None:
-        if latency < 0:
-            raise ValueError(f"negative latency sample: {latency}")
-        self.samples.append(latency)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.samples))
-
-    def percentile(self, pct: float) -> float:
-        return float(np.percentile(self.samples, pct))
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99.0)
-
-    @property
-    def p999(self) -> float:
-        return self.percentile(99.9)
-
-    def summary(self) -> LatencySummary:
-        return summarize(self.samples)
-
-
-class ThroughputMeter:
-    """Counts discrete completions (packets, requests, I/Os) over time."""
-
-    def __init__(self, sim, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self.count = 0
-        self.units = 0.0
-        self._start: Optional[float] = None
-        self._end: Optional[float] = None
-
-    def record(self, units: float = 1.0) -> None:
-        """Record one completion carrying ``units`` (e.g. bytes)."""
-        now = self.sim.now
-        if self._start is None:
-            self._start = now
-        self._end = now
-        self.count += 1
-        self.units += units
-
-    @property
-    def elapsed(self) -> float:
-        if self._start is None or self._end is None or self._end <= self._start:
-            return 0.0
-        return self._end - self._start
-
-    def rate(self) -> float:
-        """Completions per second over the observed interval."""
-        elapsed = self.elapsed
-        if elapsed <= 0.0:
-            return 0.0
-        return self.count / elapsed
-
-    def unit_rate(self) -> float:
-        """Units per second (e.g. bytes/s) over the observed interval."""
-        elapsed = self.elapsed
-        if elapsed <= 0.0:
-            return 0.0
-        return self.units / elapsed
-
-
-@dataclass
-class TimeWeightedStat:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Used for utilization-style metrics (e.g. fraction of a VM's lifetime
-    spent preempted by the host, the quantity behind Fig 1).
-    """
-
-    sim: object
-    value: float = 0.0
-    _area: float = field(default=0.0, repr=False)
-    _last_time: Optional[float] = field(default=None, repr=False)
-    _start: Optional[float] = field(default=None, repr=False)
-
-    def update(self, new_value: float) -> None:
-        now = self.sim.now
-        if self._last_time is None:
-            self._start = now
-        else:
-            self._area += self.value * (now - self._last_time)
-        self.value = new_value
-        self._last_time = now
-
-    def average(self) -> float:
-        if self._start is None or self._last_time is None:
-            return 0.0
-        area = self._area + self.value * (self.sim.now - self._last_time)
-        span = self.sim.now - self._start
-        if span <= 0:
-            return self.value
-        return area / span
-
-
 def gbps(bytes_per_second: float) -> float:
     """Convert bytes/s to gigabits/s (decimal gigabits, as in the paper)."""
     return bytes_per_second * 8.0 / 1e9
-
-
-def from_gbps(gigabits_per_second: float) -> float:
-    """Convert gigabits/s to bytes/s."""
-    return gigabits_per_second * 1e9 / 8.0
-
-
-def mib_per_s(bytes_per_second: float) -> float:
-    """Convert bytes/s to MB/s (decimal, matching fio's reporting)."""
-    return bytes_per_second / 1e6
-
-
-__all__ += ["gbps", "from_gbps", "mib_per_s", "LatencySummary"]

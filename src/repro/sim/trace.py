@@ -145,13 +145,6 @@ class Tracer:
                 })
         return {"traceEvents": events, "displayTimeUnit": "ns"}
 
-    def write_chrome_trace(self, path) -> None:
-        """Serialise :meth:`to_chrome_trace` to a JSON file."""
-        import json
-
-        with open(path, "w") as fh:
-            json.dump(self.to_chrome_trace(), fh, indent=1)
-
     # -- rendering ------------------------------------------------------------------
     def render(self, unit: float = 1e-6, unit_label: str = "us") -> str:
         """Chronological text timeline of every span and event."""

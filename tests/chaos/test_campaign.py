@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.chaos import CampaignConfig, CampaignGenerator
-from repro.config.profile import HardwareProfile
 from repro.faults.spec import BACKEND_TARGETS, FAULT_KINDS, FaultPlan
 
 
@@ -99,12 +98,6 @@ class TestSerialization:
         for seed in range(20):
             plan = gen.plan(seed)
             assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_plan_rides_through_hardware_profile(self, gen):
-        plan = gen.plan(3)
-        profile = dataclasses.replace(HardwareProfile.paper(), faults=plan)
-        restored = HardwareProfile.from_json(profile.to_json())
-        assert restored.faults == plan
 
 
 class TestShrinkHelpers:

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.chaos import CampaignConfig, CampaignGenerator, shrink_plan
+from repro.chaos import (
+    CampaignConfig,
+    CampaignGenerator,
+    CampaignRunner,
+    RegressionProbeMonitor,
+    shrink_plan,
+    sweep_campaign,
+)
 from repro.faults.spec import FaultPlan, FaultSpec
 
 
@@ -76,3 +83,15 @@ class TestShrink:
         _, plan = _eight_fault_plan_with("dma_stall", "pcie_flap")
         outcome = shrink_plan(plan, _needs_stall_and_flap)
         assert FaultPlan.from_json(outcome.plan.to_json()) == outcome.plan
+
+
+class TestMinimizedPlanReplay:
+    def test_minimized_plan_replays_its_failure(self):
+        """The reproducer the sweep dumps, loaded back, fails again."""
+        payload = sweep_campaign(0, inject_regression=True, shrink_runs=40)
+        plan = FaultPlan.from_json(payload["minimized_plan"]["json"])
+        runner = CampaignRunner(
+            extra_monitors=lambda ctx: [RegressionProbeMonitor(ctx.injector)])
+        outcome = runner.run(0, plan=plan)
+        assert outcome.failed
+        assert {v.monitor for v in outcome.violations} == {"regression_probe"}

@@ -1,4 +1,4 @@
-"""Controller-level tests: quotas, audit trail, and overlay segments."""
+"""Controller-level tests: quotas and the audit trail."""
 
 import pytest
 
@@ -53,18 +53,3 @@ class TestAuditTrail:
         assert entry.details["kind"] == "vm"
         assert entry.actor == "acme"
 
-
-class TestOverlaySegments:
-    def test_each_tenant_gets_an_isolated_segment(self, cloud):
-        cloud.create_instance("ebm.e5.32ht", tenant="alice")
-        cloud.create_instance("ebm.e5.32ht", tenant="bob")
-        alice = cloud.overlay.segment_for("alice")
-        bob = cloud.overlay.segment_for("bob")
-        assert alice.vni != bob.vni
-        packet = cloud.overlay.encapsulate("alice", b"private")
-        assert cloud.overlay.decapsulate("bob", packet) is None
-
-    def test_same_tenant_instances_share_the_segment(self, cloud):
-        cloud.create_instance("ebm.e5.32ht", tenant="alice")
-        cloud.create_instance("ecs.e5.32ht", tenant="alice")
-        assert cloud.overlay.segment_for("alice")  # one segment, no error

@@ -1,12 +1,8 @@
 """Tests for the frozen fault-plan configuration layer."""
 
-from dataclasses import replace
-
 import pytest
 
-from repro.config.profile import HardwareProfile
 from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec
-from repro.sim import Simulator
 
 
 def _crash(target="g0", at_s=1e-3, **kw):
@@ -85,48 +81,3 @@ class TestFaultPlan:
                       duration_s=5e-3, param=0.25),
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_sample_is_seed_deterministic(self):
-        def draw(seed):
-            sim = Simulator(seed=seed)
-            return FaultPlan.sample(sim.streams, horizon_s=10.0,
-                                    targets=("g0", "g1"),
-                                    mean_interval_s=1.0)
-
-        assert draw(5) == draw(5)
-        assert draw(5) != draw(6)
-
-    def test_sample_respects_horizon_and_kinds(self):
-        sim = Simulator(seed=9)
-        plan = FaultPlan.sample(sim.streams, horizon_s=2.0, targets=("g0",),
-                                kinds=("dma_stall",), mean_interval_s=0.2,
-                                duration_s=1e-3)
-        assert plan  # mean 0.2s over 2s: arrivals all but certain
-        assert all(f.at_s < 2.0 for f in plan.faults)
-        assert all(f.kind == "dma_stall" for f in plan.faults)
-
-    def test_sample_draws_from_named_stream_only(self):
-        """Sampling must not disturb any other stream's sequence."""
-        sim_a, sim_b = Simulator(seed=3), Simulator(seed=3)
-        FaultPlan.sample(sim_a.streams, horizon_s=5.0, targets=("g0",))
-        probe_a = sim_a.streams.get("ssd.cloud-ssd-pool").uniform()
-        probe_b = sim_b.streams.get("ssd.cloud-ssd-pool").uniform()
-        assert probe_a == probe_b
-
-
-class TestProfileIntegration:
-    def test_default_profile_has_no_plan(self):
-        assert HardwareProfile.paper().faults is None
-
-    def test_profile_round_trips_with_plan(self):
-        plan = FaultPlan.of(_crash(), _crash(at_s=7e-3))
-        profile = replace(HardwareProfile.paper(), faults=plan)
-        rebuilt = HardwareProfile.from_dict(profile.to_dict())
-        assert rebuilt == profile
-        assert rebuilt.faults == plan
-        assert HardwareProfile.from_json(profile.to_json()) == profile
-
-    def test_profile_round_trips_without_plan(self):
-        profile = HardwareProfile.paper()
-        assert HardwareProfile.from_dict(profile.to_dict()) == profile
-        assert HardwareProfile.from_dict(profile.to_dict()).faults is None

@@ -1,12 +1,9 @@
-"""Operational integration tests: console, watchdog+audit, full-scale runs."""
+"""Operational integration tests: testbed, console, full-scale runs."""
 
 import pytest
 
-from repro.cloud import AuditLog
 from repro.core import BmHiveServer
 from repro.experiments.common import make_testbed
-from repro.hw import ComputeBoard
-from repro.hypervisor import Watchdog
 from repro.sim import Simulator
 from repro.virtio import VirtioConsoleDevice, full_init
 
@@ -40,32 +37,6 @@ class TestConsoleThroughTheStack:
         assert staged == 1
         entry = port.shadow(1).backend_poll()
         assert b"Kernel panic" in entry.payload
-
-
-class TestIncidentFlow:
-    def test_hang_reset_and_audit_trail(self):
-        """A board hangs; the watchdog recovers it; the audit log can
-        prove what the operator's automation did and when."""
-        sim = Simulator(seed=122)
-        board = ComputeBoard(sim, "Xeon E5-2682 v4", 64)
-        board.power_on()
-        watchdog = Watchdog(sim, board)
-        audit = AuditLog(sim)
-
-        def incident(sim):
-            audit.record("watchdog", "monitoring_started", f"board-{board.board_id}")
-            watchdog.hang()
-            yield sim.spawn(watchdog.monitor(periods=5))
-            audit.record("watchdog", "board_reset", f"board-{board.board_id}",
-                         resets=watchdog.resets)
-
-        sim.run_process(incident(sim))
-        assert watchdog.resets == 1
-        assert board.is_on
-        assert audit.verify()
-        reset_entry = audit.entries(action="board_reset")[0]
-        assert reset_entry.details == {"resets": 1}
-        assert reset_entry.at_s > 0
 
 
 class TestFullScaleSpotChecks:

@@ -1,4 +1,4 @@
-"""Property-based tests for overlay, audit, and quota invariants."""
+"""Property-based tests for audit and quota invariants."""
 
 import dataclasses
 
@@ -6,44 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend.vxlan import OverlayNetwork
 from repro.cloud.audit import AuditLog, TamperError
 from repro.cloud.inventory import instance
 from repro.cloud.quotas import Quota, QuotaExceeded, QuotaLedger
 from repro.sim import Simulator
-
-tenant_names = st.sampled_from(["alice", "bob", "carol", "dave"])
-
-
-class TestOverlayProperties:
-    @given(
-        frames=st.lists(
-            st.tuples(tenant_names, st.binary(min_size=0, max_size=128)),
-            min_size=1, max_size=40,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_only_the_owning_tenant_ever_decapsulates(self, frames):
-        overlay = OverlayNetwork()
-        tenants = {"alice", "bob", "carol", "dave"}
-        for tenant in tenants:
-            overlay.attach_tenant(tenant)
-        for sender, frame in frames:
-            packet = overlay.encapsulate(sender, frame)
-            for receiver in tenants:
-                inner = overlay.decapsulate(receiver, packet)
-                if receiver == sender:
-                    assert inner == frame
-                else:
-                    assert inner is None
-
-    @given(n=st.integers(min_value=1, max_value=50))
-    @settings(max_examples=20, deadline=None)
-    def test_vnis_are_unique(self, n):
-        overlay = OverlayNetwork()
-        vnis = {overlay.attach_tenant(f"t{i}").vni for i in range(n)}
-        assert len(vnis) == n
-
 
 class TestAuditProperties:
     @given(

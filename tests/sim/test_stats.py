@@ -1,42 +1,19 @@
-"""Unit tests for the measurement collectors."""
+"""Unit tests for the summary statistics."""
 
 import pytest
 
-from repro.sim import (
-    LatencyRecorder,
-    Simulator,
-    ThroughputMeter,
-    TimeWeightedStat,
-    from_gbps,
-    gbps,
-    summarize,
-)
+from repro.sim import gbps, summarize
 
 
-@pytest.fixture
-def sim():
-    return Simulator(seed=0)
-
-
-class TestLatencyRecorder:
-    def test_rejects_negative(self):
-        recorder = LatencyRecorder()
-        with pytest.raises(ValueError):
-            recorder.record(-1.0)
-
+class TestSummarize:
     def test_mean_and_percentiles(self):
-        recorder = LatencyRecorder()
-        for value in range(1, 1001):
-            recorder.record(value / 1000.0)
-        assert recorder.mean == pytest.approx(0.5005)
-        assert recorder.p99 == pytest.approx(0.99, rel=0.02)
-        assert recorder.p999 == pytest.approx(0.999, rel=0.02)
+        summary = summarize(value / 1000.0 for value in range(1, 1001))
+        assert summary.mean == pytest.approx(0.5005)
+        assert summary.p99 == pytest.approx(0.99, rel=0.02)
+        assert summary.p999 == pytest.approx(0.999, rel=0.02)
 
     def test_summary_fields(self):
-        recorder = LatencyRecorder()
-        for value in (1.0, 2.0, 3.0):
-            recorder.record(value)
-        summary = recorder.summary()
+        summary = summarize([1.0, 2.0, 3.0])
         assert summary.count == 3
         assert summary.minimum == 1.0
         assert summary.maximum == 3.0
@@ -47,43 +24,7 @@ class TestLatencyRecorder:
             summarize([])
 
 
-class TestThroughputMeter:
-    def test_rate_over_interval(self, sim):
-        meter = ThroughputMeter(sim)
-
-        def producer(sim):
-            for _ in range(11):
-                meter.record(units=100)
-                yield sim.timeout(0.1)
-
-        sim.run_process(producer(sim))
-        assert meter.rate() == pytest.approx(11 / 1.0, rel=0.01)
-        assert meter.unit_rate() == pytest.approx(1100 / 1.0, rel=0.01)
-
-    def test_no_samples_rate_zero(self, sim):
-        assert ThroughputMeter(sim).rate() == 0.0
-
-
-class TestTimeWeightedStat:
-    def test_square_wave_average(self, sim):
-        stat = TimeWeightedStat(sim)
-
-        def toggler(sim):
-            stat.update(0.0)
-            yield sim.timeout(1.0)
-            stat.update(1.0)
-            yield sim.timeout(1.0)
-            stat.update(0.0)
-            yield sim.timeout(2.0)
-
-        sim.run_process(toggler(sim))
-        assert stat.average() == pytest.approx(0.25)
-
-
 class TestUnitConversions:
-    def test_gbps_round_trip(self):
-        assert from_gbps(gbps(1.25e9)) == pytest.approx(1.25e9)
-
     def test_paper_constants(self):
         # A PCIe x4 at 8 Gb/s/lane carries 4 GB/s of payload.
-        assert from_gbps(32.0) == pytest.approx(4e9)
+        assert gbps(4e9) == pytest.approx(32.0)

@@ -117,3 +117,19 @@ def test_refresh_perf_golden_is_stable(tmp_path, monkeypatch, load_script):
     committed = json.loads(
         (ROOT / "tests" / "perf" / "golden_event_counts.json").read_text())
     assert json.loads(target.read_text()) == committed
+
+
+def test_reachability_traces_one_entry(load_script):
+    reachability = load_script("reachability")
+    from repro.experiments import run_experiment
+
+    recorder = reachability.trace(
+        [("table3", lambda _rec: run_experiment("table3", 0, True))])
+    pairs = reachability.analyze(recorder)
+    reached = {(d.file, d.name) for d, ok in pairs if ok}
+    assert ("src/repro/experiments/__init__.py", "run_experiment") in reached
+    assert ("src/repro/experiments/__init__.py", "run_all") not in reached
+    rows = reachability.summarize(pairs)
+    assert rows
+    for _file, total, unreached in rows:
+        assert 0 <= unreached <= total
