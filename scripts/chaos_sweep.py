@@ -64,10 +64,13 @@ def merge_chaos(seeds, results, header: dict):
 
 def sweep(n_seeds: int, outdir: pathlib.Path, out_name: str,
           inject_regression: bool = False, shrink_runs: int = 120,
-          jobs: int = 1) -> int:
-    """Returns the number of failing campaigns (after writing reports).
+          jobs: int = 1):
+    """Write the report and plans; return ``(failures, plans_written)``.
 
-    ``jobs > 1`` fans the campaigns over a worker pool; each campaign
+    ``plans_written`` counts the minimized plan files *this* sweep
+    wrote, never files an earlier run left in ``outdir``.
+
+    ``jobs > 1`` fans the campaigns over a process pool; each campaign
     (and, when it fails, its shrink loop) runs whole inside one worker,
     and the report is merged in seed order — byte-identical to a serial
     sweep of the same seeds.
@@ -104,7 +107,7 @@ def sweep(n_seeds: int, outdir: pathlib.Path, out_name: str,
     out_path = outdir / out_name
     out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path} ({n_seeds} campaigns, {failures} failing)")
-    return failures
+    return failures, len(minimized)
 
 
 def main(argv=None) -> int:
@@ -131,23 +134,22 @@ def main(argv=None) -> int:
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    failures = sweep(args.seeds, outdir, args.out,
-                     inject_regression=args.inject_regression,
-                     shrink_runs=args.shrink_runs, jobs=args.jobs)
+    failures, plans = sweep(args.seeds, outdir, args.out,
+                            inject_regression=args.inject_regression,
+                            shrink_runs=args.shrink_runs, jobs=args.jobs)
 
     if args.inject_regression:
         # The broken monitor must trip at least one campaign AND every
         # failing campaign must have produced a minimized plan file.
-        plans = sorted(outdir.glob("chaos_minimized_seed*.json"))
         if failures == 0:
             print("regression probe never tripped — shrink pipeline "
                   "NOT exercised", file=sys.stderr)
             return 1
-        if len(plans) < failures:
-            print(f"{failures} failures but only {len(plans)} minimized "
+        if plans < failures:
+            print(f"{failures} failures but only {plans} minimized "
                   f"plan file(s)", file=sys.stderr)
             return 1
-        print(f"regression caught and shrunk ({len(plans)} minimized "
+        print(f"regression caught and shrunk ({plans} minimized "
               f"plan file(s))")
         return 0
     return 1 if failures else 0

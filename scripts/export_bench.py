@@ -11,7 +11,7 @@ JSON file in the repository root so successive runs can be diffed:
     python scripts/export_bench.py --jobs 8       # process-pool fan-out
     python scripts/export_bench.py --out my.json  # explicit output path
 
-``--jobs N`` fans the suite over a persistent worker pool
+``--jobs N`` fans the suite over a process pool
 (:mod:`repro.parallel`); experiments that declare the shard protocol
 (``shard_plan``/``run_shard``/``merge_shards``, e.g. ``chaos_campaign``)
 additionally split into one job per shard spec so no single experiment

@@ -19,7 +19,9 @@ the CI gate snippets, every example and ``python -m repro
 list|run|catalog``. Each runs in a fresh temporary working directory,
 so nothing lands in the checkout, and prints to standard error.
 Worker processes are not traced, so code that only runs in a pool
-worker shows as unreached; every entry runs with one job.
+worker shows as unreached. The seed sweep runs with two jobs, as CI
+runs it with four, so the parent side of the fan-out is traced; every
+other entry runs with one job.
 ``refresh_perf_golden.py`` is left out because it rewrites a tracked
 golden file.
 
@@ -258,7 +260,8 @@ ENTRIES = [
     ("chaos_sweep --inject-regression",
      _script("chaos_sweep", "--seeds", "3", "--inject-regression")),
     ("checkpointed campaign", _checkpointed_campaign),
-    ("sweep fig13", _script("sweep", "fig13", "--seeds", "2")),
+    ("sweep fig13 --jobs 2",
+     _script("sweep", "fig13", "--seeds", "2", "--jobs", "2")),
     ("profile_hotspots", _profile_hotspots),
     ("export_figures", _script("export_figures")),
     ("generate_experiments_md", _script("generate_experiments_md")),

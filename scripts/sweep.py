@@ -4,7 +4,7 @@
 Seed sweeps answer the robustness question the single-seed suite
 cannot: does an experiment's verdict (and how much of its output)
 depend on the seed? Each seed is an independent simulation, so the
-sweep fans out over the :mod:`repro.parallel` worker pool:
+sweep fans out over the :mod:`repro.parallel` process pool:
 
     PYTHONPATH=src python scripts/sweep.py fig9 --seeds 16 --jobs 8
     PYTHONPATH=src python scripts/sweep.py chaos_campaign --seeds 4:12

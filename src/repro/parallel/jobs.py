@@ -1,7 +1,7 @@
 """The one picklable job type and its per-job counter bracketing.
 
 A :class:`Job` is ``(key, fn, args)``: :func:`execute` calls
-``fn(*args)``. It travels to a worker process over a pipe, so ``fn``
+``fn(*args)``. It is pickled to a pool worker process, so ``fn``
 must be a module-level callable (pickled by reference) and ``args``
 must be picklable values — ids, parameters and plain spec objects,
 never live simulators or open resources. This package knows nothing
@@ -42,16 +42,13 @@ class JobResult:
     """What one job produced, plus the kernel counters it cost.
 
     ``events`` is the :func:`~repro.sim.global_event_totals` delta for
-    the job alone (the worker resets the registry around every job);
-    ``attempts`` counts pool dispatches (2 means the first worker died
-    and the job was retried on a fresh one).
+    the job alone (the worker resets the registry around every job).
     """
 
     key: str
     payload: Any
     events: Dict[str, int]
     wall_s: float
-    attempts: int = 1
 
 
 def check_unique_keys(jobs: Iterable[Job]) -> List[str]:

@@ -5,16 +5,15 @@ by submission order), never by completion order, so the artifacts a
 parallel run produces are byte-identical to what the serial front-ends
 write outside explicitly volatile fields (wall-clock, timestamps,
 worker counts). :data:`VOLATILE_KEYS` names those fields once, and
-:func:`strip_volatile` / :func:`bench_diff` implement the "identical
-modulo wall time" comparison the CI gate and the tests use.
+:func:`bench_diff` implements the "identical modulo wall time"
+comparison the CI gate and the tests use.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Iterable, List
 
-__all__ = ["VOLATILE_KEYS", "strip_volatile", "bench_diff"]
+__all__ = ["VOLATILE_KEYS", "bench_diff"]
 
 # Report fields that legitimately differ between two otherwise
 # equivalent runs: wall-clock measurements and run-metadata stamps.
@@ -27,7 +26,6 @@ VOLATILE_KEYS = frozenset({
     "timestamp",
     "git_commit",
     "jobs",
-    "attempts",
     "throughput",
 })
 
@@ -35,20 +33,6 @@ VOLATILE_KEYS = frozenset({
 # produced under, with what a mismatch means.
 CONFIG_HEADERS = (("queue_config", "multi-queue configurations"),
                   ("topology", "fabric topologies"))
-
-
-def strip_volatile(report: dict) -> dict:
-    """Deep-copy ``report`` with every volatile field removed."""
-
-    def scrub(node):
-        if isinstance(node, dict):
-            return {key: scrub(value) for key, value in node.items()
-                    if key not in VOLATILE_KEYS}
-        if isinstance(node, list):
-            return [scrub(item) for item in node]
-        return node
-
-    return scrub(copy.deepcopy(report))
 
 
 def _zero_like(value) -> bool:

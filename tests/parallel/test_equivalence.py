@@ -5,19 +5,11 @@ the same jobs run inline and through a 2-worker pool, and every
 non-volatile byte of the merged artifacts must match.
 """
 
-import pytest
-
 from repro.chaos import sweep_campaign
 from repro.experiments import chaos_campaign, run_experiment
-from repro.parallel import Job, WorkerPool, bench_diff, run_suite
+from repro.parallel import Job, bench_diff, run_suite
 
 SMALL_EXPERIMENTS = ["fig13", "fig14", "iobond_micro", "cost"]
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with WorkerPool(2) as shared:
-        yield shared
 
 
 def _shard_jobs():
@@ -27,8 +19,7 @@ def _shard_jobs():
 
 
 class TestBenchEquivalence:
-    def test_parallel_bench_matches_serial_modulo_wall(self, pool,
-                                                       load_script):
+    def test_parallel_bench_matches_serial_modulo_wall(self, load_script):
         export_bench = load_script("export_bench")
         plan = export_bench.build_plan(SMALL_EXPERIMENTS)
         jobs = [job for group in plan.values() for job in group]
@@ -36,24 +27,24 @@ class TestBenchEquivalence:
         serial_report, serial_results = export_bench.merge_bench(
             plan, run_suite(jobs, n_jobs=1), header)
         parallel_report, parallel_results = export_bench.merge_bench(
-            plan, pool.run(jobs), header)
+            plan, run_suite(jobs, n_jobs=2), header)
         assert bench_diff(serial_report, parallel_report) == []
         for name in SMALL_EXPERIMENTS:
             assert serial_results[name].rows == parallel_results[name].rows
 
-    def test_event_counts_identical_not_just_close(self, pool):
+    def test_event_counts_identical_not_just_close(self):
         jobs = [Job(name, run_experiment, (name, 0, True))
                 for name in ("fig13", "fig14")]
         serial = run_suite(jobs, n_jobs=1)
-        parallel = pool.run(jobs)
+        parallel = run_suite(jobs, n_jobs=2)
         for job in jobs:
             assert serial[job.key].events == parallel[job.key].events
 
 
 class TestShardedChaosCampaign:
-    def test_sharded_merge_equals_direct_run(self, pool):
+    def test_sharded_merge_equals_direct_run(self):
         jobs = _shard_jobs()
-        results = pool.run(jobs)
+        results = run_suite(jobs, n_jobs=2)
         merged = chaos_campaign.merge_shards(
             0, True, [results[job.key].payload for job in jobs])
         direct = chaos_campaign.run(seed=0, quick=True)
@@ -63,8 +54,8 @@ class TestShardedChaosCampaign:
         assert merged.notes == direct.notes
         assert merged.passed
 
-    def test_shard_events_sum_to_serial_totals(self, pool):
-        parallel = pool.run(_shard_jobs())
+    def test_shard_events_sum_to_serial_totals(self):
+        parallel = run_suite(_shard_jobs(), n_jobs=2)
         serial = run_suite([Job("whole", run_experiment,
                                 ("chaos_campaign", 0, True))], n_jobs=1)
         summed = {}
@@ -83,7 +74,7 @@ class TestShardedChaosCampaign:
 
 
 class TestChaosSweepEquivalence:
-    def test_parallel_sweep_report_byte_identical(self, pool, load_script):
+    def test_parallel_sweep_report_byte_identical(self, load_script):
         import json
 
         chaos_sweep = load_script("chaos_sweep")
@@ -94,6 +85,6 @@ class TestChaosSweepEquivalence:
         serial, _, _ = chaos_sweep.merge_chaos(
             seeds, run_suite(jobs, n_jobs=1), header)
         parallel, _, _ = chaos_sweep.merge_chaos(
-            seeds, pool.run(jobs), header)
+            seeds, run_suite(jobs, n_jobs=2), header)
         assert (json.dumps(serial, indent=2, sort_keys=True)
                 == json.dumps(parallel, indent=2, sort_keys=True))

@@ -1,13 +1,13 @@
-"""Deterministic merging: ordering, volatile stripping, aggregation.
+"""Deterministic merging: ordering, volatile fields, aggregation.
 
-``bench_diff``/``strip_volatile`` live in :mod:`repro.parallel.merge`;
+``bench_diff`` lives in :mod:`repro.parallel.merge`;
 each payload fold lives in the script that plans its jobs.
 """
 
 import pytest
 
 from repro.experiments import run_experiment
-from repro.parallel import Job, JobResult, bench_diff, strip_volatile
+from repro.parallel import Job, JobResult, bench_diff
 
 
 def _result(key, payload, events=None, wall=0.5):
@@ -15,28 +15,17 @@ def _result(key, payload, events=None, wall=0.5):
                      events=events or {"events_popped": 10}, wall_s=wall)
 
 
-class TestStripVolatile:
-    def test_removes_wall_and_metadata_fields_recursively(self):
-        report = {
-            "total_wall_s": 1.0,
-            "timestamp": "now",
-            "git_commit": "abc",
-            "jobs": 8,
-            "experiments": {"fig9": {"wall_s": 0.5, "events": {"e": 1}}},
-        }
-        assert strip_volatile(report) == {
-            "experiments": {"fig9": {"events": {"e": 1}}}}
-
-    def test_original_untouched(self):
-        report = {"wall_s": 1.0, "keep": [1, 2]}
-        strip_volatile(report)
-        assert report == {"wall_s": 1.0, "keep": [1, 2]}
-
-
 class TestBenchDiff:
     def test_equivalent_modulo_volatile(self):
         a = {"seed": 0, "wall_s": 1.0, "experiments": {"f": {"events": {"e": 3}}}}
         b = {"seed": 0, "wall_s": 9.9, "experiments": {"f": {"events": {"e": 3}}}}
+        assert bench_diff(a, b) == []
+
+    def test_metadata_and_nested_wall_fields_are_volatile(self):
+        a = {"timestamp": "then", "git_commit": "abc", "jobs": 1,
+             "experiments": {"f": {"wall_s": 0.5, "events": {"e": 3}}}}
+        b = {"timestamp": "now", "git_commit": "def", "jobs": 8,
+             "experiments": {"f": {"wall_s": 2.5, "events": {"e": 3}}}}
         assert bench_diff(a, b) == []
 
     def test_reports_value_and_key_differences(self):

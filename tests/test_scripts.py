@@ -109,6 +109,23 @@ class TestSweep:
             raise AssertionError("argparse should have exited")
 
 
+class TestChaosSweep:
+    def test_stale_plan_files_do_not_count(self, tmp_path, monkeypatch,
+                                           load_script):
+        chaos_sweep = load_script("chaos_sweep")
+        # A plan an earlier run left behind in the same directory.
+        (tmp_path / "chaos_minimized_seed99.json").write_text("{}")
+
+        def failed_without_plan(seed, inject_regression, shrink_runs):
+            return {"entry": {"failed": True}, "failed": True,
+                    "minimized_plan": None}
+
+        monkeypatch.setattr(chaos_sweep, "sweep_campaign",
+                            failed_without_plan)
+        code = chaos_sweep.main(["--seeds", "1", "--inject-regression",
+                                 "--outdir", str(tmp_path)])
+        assert code == 1
+
 def test_refresh_perf_golden_is_stable(tmp_path, monkeypatch, load_script):
     refresh = load_script("refresh_perf_golden")
     target = tmp_path / "golden.json"
