@@ -213,8 +213,7 @@ class BmHiveServer:
         # The firmware's used-ring poll (10 µs cadence) parks on its own
         # doorbell; IO-Bond writing back completions rings it. Firmware
         # only ever drives BOOT_QUEUE, even on an N-queue device.
-        fw_poll_s = self.profile.poll.firmware_used_poll_s
-        used_bell = Doorbell(self.sim, fw_poll_s)
+        used_bell = Doorbell(self.sim, self.profile.poll.firmware_used_poll_s)
         boot_vq = blk.queue(BOOT_QUEUE)
         boot_vq.on_used = used_bell.ring
 
@@ -228,11 +227,7 @@ class BmHiveServer:
                 used = boot_vq.get_used()
                 if used is not None:
                     break
-                if used_bell.enabled:
-                    yield used_bell.park()
-                else:
-                    self.sim.stats.idle_poll_events += 1
-                    yield self.sim.timeout(fw_poll_s)
+                yield used_bell.park()
             addr, length = chain.writable[0]
             return blk.memory.read(addr, length)
 

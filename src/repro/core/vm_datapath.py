@@ -120,11 +120,7 @@ class VmBlkService:
                         self.device.device_complete(chain, b"", VIRTIO_BLK_S_OK)
                     self.requests_served += 1
                 if not busy:
-                    if self.doorbell.enabled:
-                        yield self.doorbell.park()
-                    else:
-                        self.sim.stats.idle_poll_events += 1
-                        yield self.sim.timeout(self.poll_interval_s)
+                    yield self.doorbell.park()
         except Interrupt:
             return
 
@@ -145,8 +141,7 @@ def vm_boot_via_rings(sim, guest, image: VmImage,
     firmware = EfiFirmware(sim)
     # The firmware's used-ring poll (10 µs cadence) parks on its own
     # doorbell; the backend pushing a used element rings it.
-    fw_poll_s = profile.poll.firmware_used_poll_s
-    used_bell = Doorbell(sim, fw_poll_s)
+    used_bell = Doorbell(sim, profile.poll.firmware_used_poll_s)
     device.vq.on_used = used_bell.ring
 
     def io_roundtrip(sector, n_sectors):
@@ -158,11 +153,7 @@ def vm_boot_via_rings(sim, guest, image: VmImage,
             used = device.vq.get_used()
             if used is not None:
                 break
-            if used_bell.enabled:
-                yield used_bell.park()
-            else:
-                sim.stats.idle_poll_events += 1
-                yield sim.timeout(fw_poll_s)
+            yield used_bell.park()
         addr, length = chain.writable[0]
         return device.memory.read(addr, length)
 

@@ -23,15 +23,6 @@ class Check:
     passed: bool
     detail: str = ""
 
-    def as_dict(self) -> Dict:
-        return {"name": self.name, "passed": self.passed,
-                "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Check":
-        return cls(name=data["name"], passed=bool(data["passed"]),
-                   detail=data.get("detail", ""))
-
 
 def check(name: str, condition: bool, detail: str = "") -> Check:
     return Check(name=name, passed=bool(condition), detail=detail)
@@ -61,31 +52,6 @@ class ExperimentResult:
 
     def failed_checks(self) -> List[Check]:
         return [c for c in self.checks if not c.passed]
-
-    def as_dict(self) -> Dict:
-        """JSON-able form; with :meth:`from_dict` a lossless round-trip.
-
-        Results cross process boundaries in the parallel orchestrator
-        (pickled over worker pipes) and land in sweep reports (JSON);
-        both transports are covered by the round-trip tests.
-        """
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "rows": self.rows,
-            "checks": [c.as_dict() for c in self.checks],
-            "notes": self.notes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ExperimentResult":
-        return cls(
-            experiment_id=data["experiment_id"],
-            title=data["title"],
-            rows=list(data["rows"]),
-            checks=[Check.from_dict(c) for c in data["checks"]],
-            notes=data.get("notes", ""),
-        )
 
     def format_table(self, max_rows: Optional[int] = None) -> str:
         """Render the rows as an aligned text table."""

@@ -101,11 +101,7 @@ def _mq_iops(seed: int, profile_name: str, passthrough: bool,
                 if vq.get_used() is not None:
                     completed += 1
                     continue
-                if bell.enabled:
-                    yield bell.park()
-                else:
-                    sim.stats.idle_poll_events += 1
-                    yield sim.timeout(DRIVER_POLL_S)
+                yield bell.park()
         finally:
             bell.cancel()
             vq.on_used = None

@@ -78,7 +78,6 @@ class RegionShardJob:
     duration_s: float = 11.0
     occupancy: float = 0.8
     mean_lifetime_s: float = 2.0
-    guests: str = "arrays"
 
     @property
     def shard_seed(self) -> int:
@@ -136,7 +135,7 @@ def run_shard(spec: RegionShardJob) -> Dict:
     region = Region(sim, region_spec)
     plan = ChurnPlan.for_region(region)
     region.start(probes=False, arrivals=False)
-    engine = VectorizedChurnEngine(region, plan, guests=spec.guests)
+    engine = VectorizedChurnEngine(region, plan)
     engine.start()
     t_built = time.perf_counter()
     sim.run(until=region_spec.duration_s)

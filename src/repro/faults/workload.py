@@ -165,11 +165,5 @@ class RingBlkLoad:
                 yield from bond.guest_pci_access(port, "queue_notify",
                                                  self.queue_index)
                 continue
-            if bell.enabled:
-                wake = bell.park()
-                limit = bell.deadline(deadline)
-                yield sim.any_of([wake, limit])
-                bell.cancel()
-            else:
-                sim.stats.idle_poll_events += 1
-                yield sim.timeout(self.poll_s)
+            yield bell.park(deadline)
+            bell.cancel()

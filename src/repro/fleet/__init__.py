@@ -21,7 +21,6 @@ from repro.fleet.monitors import (
 from repro.fleet.churn import (
     ChurnPlan,
     GuestArrayLedger,
-    ScalarChurnEngine,
     VectorizedChurnEngine,
 )
 from repro.fleet.preemption import PreemptionStudy, run_preemption_study
@@ -33,7 +32,6 @@ __all__ = [
     "RegionGuest",
     "ARRIVAL_STREAM",
     "ChurnPlan",
-    "ScalarChurnEngine",
     "VectorizedChurnEngine",
     "GuestArrayLedger",
     "QuarantinePlacementMonitor",

@@ -11,11 +11,8 @@ bookkeeping. This module replaces the *mechanics* without changing the
 * :class:`ChurnPlan` draws every arrival gap, tier pick, and lifetime
   up front as numpy batches from the same calibrated Table-2/Fig-1
   shaped distributions on the same ``region.arrivals`` stream. The
-  plan is the canonical draw order — both engines below consume it, so
-  their randomness is identical by construction.
-* :class:`ScalarChurnEngine` replays the plan one kernel event per
-  arrival (the reference semantics: ``timeout(gap)`` → admit → place →
-  per-guest lifetime process).
+  plan is the canonical draw order, so any executor that consumes it
+  sees identical randomness by construction.
 * :class:`VectorizedChurnEngine` merges arrivals and exits into one
   time-sorted event stream, cuts it into time buckets, schedules a
   single bare wakeup per bucket through
@@ -24,24 +21,24 @@ bookkeeping. This module replaces the *mechanics* without changing the
   While inside a bucket it sets ``sim._now`` to each event's exact
   timestamp (all ≤ the bucket bound, restoring the bound afterwards),
   so token-bucket refills, audit timestamps, and guest placement times
-  are *bit-identical* to the scalar engine — the equivalence tests in
-  ``tests/fleet/test_churn.py`` assert byte-equal ``Region.report()``.
+  are *bit-identical* to a one-event-per-arrival replay of the plan.
+  That replay — the scalar reference engine — lives with the tests
+  (``tests/fleet/scalar_churn.py``), and ``tests/fleet/test_churn.py``
+  asserts byte-equal ``Region.report()`` against it.
 
 Tie-breaking: events are ordered by ``(time, kind)`` with arrivals
-before exits, stably by index within a kind. The scalar engine's order
-for *exactly equal* float timestamps of different guests depends on
-push history; with continuous exponential draws such collisions have
-measure zero, and the vectorized rule is the deterministic choice that
-also handles the degenerate zero-lifetime draw (a guest must arrive
-before it can exit).
+before exits, stably by index within a kind. The scalar reference's
+order for *exactly equal* float timestamps of different guests depends
+on push history; with continuous exponential draws such collisions
+have measure zero, and the vectorized rule is the deterministic choice
+that also handles the degenerate zero-lifetime draw (a guest must
+arrive before it can exit).
 
-Guest bookkeeping comes in two flavors: ``guests="objects"`` drives
-the region's real :class:`~repro.fleet.region.RegionGuest` path
-(supports fault plans, used by the equivalence gate), while
-``guests="arrays"`` keeps the whole population in a
-:class:`GuestArrayLedger` — struct-of-arrays state, string-free
-``place_board``/``release_board`` scheduler calls — for fault-free
-scale runs where per-guest Python objects would dominate memory.
+Guests live in a :class:`GuestArrayLedger` — struct-of-arrays state,
+string-free ``place_board``/``release_board`` scheduler calls — for
+fault-free scale runs where per-guest Python objects would dominate
+memory. Fault drills use the region's own arrival loop, which keeps
+real :class:`~repro.fleet.region.RegionGuest` objects.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ from repro.hypervisor.health import BoardHealth
 
 __all__ = [
     "ChurnPlan",
-    "ScalarChurnEngine",
     "VectorizedChurnEngine",
     "GuestArrayLedger",
 ]
@@ -75,7 +71,7 @@ class ChurnPlan:
 
     ``arrival_s`` is the exact left-fold cumulative sum of ``gap_s``
     (``np.cumsum`` accumulates sequentially), which matches the float
-    value the kernel clock reaches when the scalar engine sleeps the
+    value the kernel clock reaches when a scalar replay sleeps the
     same gaps one ``timeout`` at a time — the foundation of the
     scalar ≡ vectorized bit-equivalence.
     """
@@ -158,35 +154,6 @@ class ChurnPlan:
         )
 
 
-class ScalarChurnEngine:
-    """Reference executor: one kernel event per plan arrival.
-
-    Exactly the default ``_arrival_loop`` shape — ``timeout(gap)``,
-    admit, place, spawn a per-guest lifetime process — except the draws
-    come from the plan instead of interleaved scalar RNG calls. The
-    kernel clock after the *i*-th gap equals ``plan.arrival_s[i]``
-    bit-for-bit (float left folds associate identically).
-    """
-
-    def __init__(self, region: Region, plan: ChurnPlan):
-        self.region = region
-        self.plan = plan
-
-    def start(self) -> None:
-        self.region.sim.spawn(self._loop(), name="region.churn.scalar")
-
-    def _loop(self):
-        region = self.region
-        sim = region.sim
-        plan = self.plan
-        gaps = plan.gap_s
-        tiers = plan.tier_idx
-        lifetimes = plan.lifetime_s
-        for i in range(len(plan)):
-            yield sim.timeout(float(gaps[i]))
-            region._arrive(i, TIERS[tiers[i]], float(lifetimes[i]))
-
-
 class GuestArrayLedger:
     """Struct-of-arrays guest population for fault-free scale runs.
 
@@ -217,11 +184,12 @@ class GuestArrayLedger:
         """Mirror of ``Region.tier_stats`` over the arrays.
 
         Windows are summed with a left-fold (``np.cumsum``) in arrival
-        order — the same order and float association as the object
-        path's ``total += window`` over gid-sorted guests, so the two
-        agree bit-for-bit. Array guests never accrue downtime (the
-        ledger refuses faulted placements), so downtime is identically
-        zero, as it is for the object path in a fault-free run.
+        order — the same order and float association as
+        ``Region.tier_stats``'s ``total += window`` over gid-sorted
+        guests, so the two agree bit-for-bit. Array guests never accrue
+        downtime (the ledger refuses faulted placements), so downtime
+        is identically zero, as it is for region guests in a fault-free
+        run.
         """
         rank = TIERS.index(tier)
         mask = (self.state != self.NONE) & (self.tier_idx == rank)
@@ -253,13 +221,13 @@ class VectorizedChurnEngine:
     """
 
     def __init__(self, region: Region, plan: ChurnPlan,
-                 batch_s: Optional[float] = None, guests: str = "objects"):
-        if guests not in ("objects", "arrays"):
-            raise ValueError(
-                f"guests must be 'objects' or 'arrays', got {guests!r}")
+                 batch_s: Optional[float] = None, guests: str = "arrays"):
+        # One guest representation; the keyword stays because perfbench's
+        # region_churn workload passes guests="arrays".
+        if guests != "arrays":
+            raise ValueError(f"guests must be 'arrays', got {guests!r}")
         self.region = region
         self.plan = plan
-        self.guests_mode = guests
         T = plan.duration_s
         if batch_s is None:
             batch_s = max(T / 64.0, 1e-9)
@@ -287,14 +255,10 @@ class VectorizedChurnEngine:
         else:
             self._bounds = np.zeros(0, dtype=np.float64)
 
-        if guests == "objects":
-            self._guest_objs: List[Optional[object]] = [None] * n
-            self.ledger: Optional[GuestArrayLedger] = None
-        else:
-            self.ledger = GuestArrayLedger(plan)
-            region.guest_ledger = self.ledger
-            self._tenants = tuple(
-                f"t{k:03d}" for k in range(region.spec.n_tenants))
+        self.ledger = GuestArrayLedger(plan)
+        region.guest_ledger = self.ledger
+        self._tenants = tuple(
+            f"t{k:03d}" for k in range(region.spec.n_tenants))
 
     def start(self) -> None:
         """Schedule every bucket wakeup in bulk and spawn the driver."""
@@ -319,43 +283,20 @@ class VectorizedChurnEngine:
         ev_time = self._ev_time
         ev_kind = self._ev_kind
         ev_idx = self._ev_idx
-        arrays = self.ledger is not None
         last = bound
         for k in range(start, end):
             last = ev_time[k]
             sim._now = last
             i = int(ev_idx[k])
             if ev_kind[k] == 0:
-                if arrays:
-                    self._arrive_arrays(i)
-                else:
-                    self._arrive_object(i)
+                self._arrive(i)
             else:
-                if arrays:
-                    self._exit_arrays(i)
-                else:
-                    self._exit_object(i)
+                self._exit(i)
         # Restore the wakeup bound (>= every slice timestamp up to
         # float rounding of the bucket grid; max() covers that edge).
         sim._now = max(bound, last)
 
-    # -- object-mode guests (fault-capable, equivalence reference) -------
-    def _arrive_object(self, i: int) -> None:
-        plan = self.plan
-        self._guest_objs[i] = self.region._arrive(
-            i, TIERS[plan.tier_idx[i]], float(plan.lifetime_s[i]),
-            spawn_life=False)
-
-    def _exit_object(self, i: int) -> None:
-        guest = self._guest_objs[i]
-        if guest is None:
-            return  # shed or capacity-rejected at arrival
-        if guest.state in ("running", "down"):
-            self.region._end_guest(guest, "exited")
-            self.region.exits += 1
-
-    # -- array-mode guests (string-free scale path) ----------------------
-    def _arrive_arrays(self, i: int) -> None:
+    def _arrive(self, i: int) -> None:
         region = self.region
         plan = self.plan
         tier = TIERS[plan.tier_idx[i]]
@@ -376,15 +317,15 @@ class VectorizedChurnEngine:
         if not region._server_up[name] or \
                 region._board_health[name] is not BoardHealth.HEALTHY:
             raise RuntimeError(
-                "guests='arrays' does not support placements on faulted "
+                "the churn engine does not support placements on faulted "
                 "servers (no per-guest accounting rows); run fault plans "
-                "with guests='objects'")
+                "through the region's own arrival loop")
         ledger = self.ledger
         ledger.state[i] = GuestArrayLedger.RUNNING
         ledger.server[i] = reg_idx
         region.placed[tier] += 1
 
-    def _exit_arrays(self, i: int) -> None:
+    def _exit(self, i: int) -> None:
         ledger = self.ledger
         if ledger.state[i] != GuestArrayLedger.RUNNING:
             return

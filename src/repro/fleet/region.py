@@ -210,8 +210,8 @@ class Region:
             n: BoardHealth.HEALTHY for n in self._server_names}
 
         # Guest bookkeeping. ``guest_ledger`` is populated by the
-        # vectorized churn engine's array mode (repro.fleet.churn);
-        # when set, population stats come from it instead of ``guests``.
+        # vectorized churn engine (repro.fleet.churn); when set,
+        # population stats come from it instead of ``guests``.
         self.guest_ledger = None
         self.guests: Dict[str, RegionGuest] = {}
         self._by_server: Dict[str, Dict[str, None]] = {
@@ -289,8 +289,7 @@ class Region:
             self._arrive(n, tier, lifetime)
             n += 1
 
-    def _arrive(self, n: int, tier: str, lifetime_s: float,
-                spawn_life: bool = True) -> Optional[RegionGuest]:
+    def _arrive(self, n: int, tier: str, lifetime_s: float) -> None:
         self.arrivals[tier] += 1
         tenant = f"t{n % self.spec.n_tenants:03d}"
         try:
@@ -298,12 +297,12 @@ class Region:
         except AdmissionRejected as exc:
             key = (tier, exc.reason)
             self.shed[key] = self.shed.get(key, 0) + 1
-            return None
+            return
         try:
             placement = self.scheduler.place(self._itype)
         except CapacityError:
             self.capacity_rejections[tier] += 1
-            return None
+            return
         if self.scheduler.servers[placement.server].quarantined:
             # Must be impossible (can_host excludes quarantined); the
             # QuarantinePlacementMonitor turns any count into a failure.
@@ -328,10 +327,8 @@ class Region:
             self.placements_on_dead += 1
             guest.state = "down"
             self.accounting.record_down(guest.guest_id, cause="placed_on_dead")
-        if spawn_life:
-            self.sim.spawn(self._guest_life(guest),
-                           name=f"region.life.{guest.guest_id}")
-        return guest
+        self.sim.spawn(self._guest_life(guest),
+                       name=f"region.life.{guest.guest_id}")
 
     def _guest_life(self, guest: RegionGuest):
         yield self.sim.timeout(guest.lifetime_s)

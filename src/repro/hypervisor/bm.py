@@ -276,11 +276,7 @@ class BmHypervisor:
             if not busy:
                 # A clean drain pass consumes no simulated time, so the
                 # park anchors on a time the busy-poll grid would reach.
-                if self.doorbell.enabled:
-                    yield self.doorbell.park()
-                else:
-                    self.sim.stats.idle_poll_events += 1
-                    yield self.sim.timeout(self.spec.poll_interval_s)
+                yield self.doorbell.park()
 
     def _mailbox_forever(self):
         while True:
@@ -290,11 +286,7 @@ class BmHypervisor:
                 self.pci_requests_handled += 1
                 busy = True
             if not busy:
-                if self.doorbell.enabled:
-                    yield self.doorbell.park()
-                else:
-                    self.sim.stats.idle_poll_events += 1
-                    yield self.sim.timeout(self.spec.poll_interval_s)
+                yield self.doorbell.park()
 
     def _queue_forever(self, key: Tuple[str, int]):
         port_name, queue_index = key
@@ -323,11 +315,7 @@ class BmHypervisor:
                         self.queue_entries_handled.get(key, 0) + 1)
                     busy = True
             if not busy:
-                if bell.enabled:
-                    yield bell.park()
-                else:
-                    self.sim.stats.idle_poll_events += 1
-                    yield self.sim.timeout(self.spec.poll_interval_s)
+                yield bell.park()
 
     # -- snapshot rebuild protocol ---------------------------------------------
     def snapshot_state(self) -> dict:

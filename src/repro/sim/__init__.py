@@ -1,9 +1,9 @@
 """Discrete-event simulation kernel.
 
 The kernel is the substrate for every hardware and software model in
-this reproduction: generator-based processes, an event heap, shared
-resources, token-bucket rate limiters, named random streams, and
-latency summaries.
+this reproduction: generator-based processes, a calendar event queue,
+shared resources, token-bucket rate limiters, named random streams,
+and latency summaries.
 """
 
 from repro.sim.core import (
@@ -20,7 +20,7 @@ from repro.sim.doorbell import Doorbell, idle_skip_default, set_idle_skip_defaul
 from repro.sim.queue import CalendarQueue
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Resource, Store, TokenBucket
+from repro.sim.resources import Resource, TokenBucket
 from repro.sim.trace import PointEvent, Span, Tracer
 from repro.sim.stats import LatencySummary, gbps, summarize
 
@@ -44,7 +44,6 @@ __all__ = [
     "Interrupt",
     "Process",
     "Resource",
-    "Store",
     "TokenBucket",
     "LatencySummary",
     "summarize",

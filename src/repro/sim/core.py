@@ -1,6 +1,6 @@
 """The discrete-event simulation kernel.
 
-:class:`Simulator` owns the event heap and the clock. Simulation logic
+:class:`Simulator` owns the event queue and the clock. Simulation logic
 is written as generator functions ("processes") that yield
 :class:`~repro.sim.events.Event` objects; the kernel resumes each
 process when its awaited event fires.
@@ -27,11 +27,12 @@ Performance
 -----------
 The kernel has a *fast lane* for the dominant event shape — a single
 process waiting on a single event (``yield sim.timeout(dt)`` and
-friends). Such events carry their waiter in ``Event._waiter`` and
-:meth:`Simulator.step` resumes the process directly, skipping the
-callback-list allocation and dispatch of the generic path. Pass
-``fast_path=False`` to force every event through the generic path (the
-reference kernel used by the equivalence tests). :attr:`Simulator.stats`
+friends). Such events carry their waiter in ``Event._waiter`` and the
+dispatch loop inlined in :meth:`Simulator.run` and
+:meth:`Simulator.run_process` resumes the process directly, skipping
+the callback-list allocation of the generic path. The generic-callback
+reference kernel the equivalence tests compare against lives with the
+tests (``tests/sim/reference_kernel.py``). :attr:`Simulator.stats`
 counts both lanes; see :class:`EventStats`.
 """
 
@@ -64,7 +65,7 @@ _INF = float("inf")
 class EventStats:
     """Kernel counters for one :class:`Simulator`.
 
-    * ``events_popped`` — total events dispatched by :meth:`Simulator.step`;
+    * ``events_popped`` — total events dispatched by the run loops;
     * ``fast_path_hits`` — pops dispatched through the single-waiter
       fast lane (no callback list, direct process resume);
     * ``idle_poll_events`` — no-op wakeups scheduled by busy-polling
@@ -83,7 +84,7 @@ class EventStats:
     * ``queue_len_sum`` — queue depth summed at every pop
       (``queue_len_sum / events_popped`` is the mean depth);
     * ``bucket_overflows`` — calendar-queue entries scheduled beyond
-      the bucket horizon (always 0 for the heap queue).
+      the bucket horizon.
 
     Direct attribute reads of the queue-synced counters can be stale
     mid-run; :meth:`as_dict` and :func:`global_event_totals` sync
@@ -103,22 +104,29 @@ class EventStats:
         "bucket_overflows",
     )
 
-    __slots__ = _COUNTERS + ("_queue",)
+    __slots__ = _COUNTERS + ("_sim",)
 
-    def __init__(self):
+    def __init__(self, sim: "Simulator"):
         for name in self._COUNTERS:
             setattr(self, name, 0)
-        self._queue = None
+        # Weak: the queue holds every pending event and each event holds
+        # its simulator, so a strong link from the global registry would
+        # keep whole simulations alive. Simulator.__del__ copies the
+        # final queue counters in before the reference dies.
+        self._sim = weakref.ref(sim)
 
     def sync(self) -> "EventStats":
         """Pull the queue-owned counters into this object."""
-        queue = self._queue
-        if queue is not None:
-            self.events_pushed = queue.pushes
-            self.queue_len_max = queue.len_max
-            self.queue_len_sum = queue.len_sum
-            self.bucket_overflows = queue.overflows
+        sim = self._sim()
+        if sim is not None:
+            self._pull(sim._queue)
         return self
+
+    def _pull(self, queue: CalendarQueue) -> None:
+        self.events_pushed = queue.pushes
+        self.queue_len_max = queue.len_max
+        self.queue_len_sum = queue.len_sum
+        self.bucket_overflows = queue.overflows
 
     def as_dict(self) -> dict:
         self.sync()
@@ -132,7 +140,8 @@ class EventStats:
 # Every simulator registers its stats here so tooling (e.g.
 # scripts/export_bench.py) can report aggregate event counts for code
 # that creates simulators internally. Entries are tiny slotted counter
-# objects; they do not keep the simulators themselves alive.
+# objects that refer to their simulator weakly, so they do not keep the
+# simulators themselves alive.
 _ALL_STATS: List[EventStats] = []
 
 
@@ -168,39 +177,30 @@ class AuditReport:
 
     ``live_processes`` are spawned processes that have not completed
     (daemon poll loops legitimately appear here forever); ``resources``
-    and ``stores`` carry outstanding-slot counts for every primitive
+    carries outstanding-slot counts for every :class:`Resource`
     constructed against the simulator. Produced by
     :meth:`Simulator.audit`.
     """
 
     def __init__(self, now: float,
                  live_processes: List[Process],
-                 resources: List[Tuple[str, int, int, int]],
-                 stores: List[Tuple[str, int, int, int]]):
+                 resources: List[Tuple[str, int, int, int]]):
         self.now = now
         self.live_processes = live_processes
         # (label, in_use, capacity, queued_waiters) per Resource.
         self.resources = resources
-        # (label, items, blocked_putters, blocked_getters) per Store.
-        self.stores = stores
 
     @property
     def busy_resources(self) -> List[Tuple[str, int, int, int]]:
         """Resources with held slots or queued waiters."""
         return [r for r in self.resources if r[1] > 0 or r[3] > 0]
 
-    @property
-    def stuck_putters(self) -> List[Tuple[str, int, int, int]]:
-        """Stores with producers blocked on a full buffer."""
-        return [s for s in self.stores if s[2] > 0]
-
     def offenders(self, allow_processes: Tuple[str, ...] = ()) -> List[str]:
         """Human-readable leftovers, excluding allowed daemon names.
 
         ``allow_processes`` are name prefixes (a supervisor or poll loop
         is expected to outlive every workload); anything else still
-        alive — or any held resource slot / blocked putter — is an
-        offender.
+        alive — or any held resource slot — is an offender.
         """
         out = []
         for proc in self.live_processes:
@@ -214,11 +214,6 @@ class AuditReport:
             out.append(
                 f"resource {label!r} holds {in_use}/{capacity} slot(s), "
                 f"{queued} waiter(s) queued"
-            )
-        for label, items, putters, _getters in self.stuck_putters:
-            out.append(
-                f"store {label!r} has {putters} blocked putter(s) "
-                f"({items} item(s) buffered)"
             )
         return out
 
@@ -236,8 +231,7 @@ class AuditReport:
         return (
             f"AuditReport(now={self.now:.6f}, "
             f"live_processes={[p.name for p in self.live_processes]}, "
-            f"busy_resources={self.busy_resources}, "
-            f"stuck_putters={self.stuck_putters})"
+            f"busy_resources={self.busy_resources})"
         )
 
 
@@ -250,30 +244,29 @@ class Simulator:
         Root seed for all random streams drawn via :attr:`streams`.
         Every simulation in this repository is deterministic given its
         seed, which the experiment harnesses rely on.
-    fast_path:
-        When False, disable the single-waiter fast lane and run every
-        event through the generic callback path. Observable behavior is
-        identical (the property tests assert so); the flag exists as
-        the reference baseline for those tests.
     """
 
-    def __init__(self, seed: int = 0, fast_path: bool = True):
-        self._now = 0.0
+    def __init__(self, seed: int = 0):
         self._queue = CalendarQueue()
+        self.stats = EventStats(self)
+        _ALL_STATS.append(self.stats)
+        self._now = 0.0
         self._counter = itertools.count()
         self.streams = RandomStreams(seed)
         self._active_process: Optional[Process] = None
-        self._fast_path = fast_path
         self._participants: dict = {}
-        self.stats = EventStats()
-        self.stats._queue = self._queue
-        _ALL_STATS.append(self.stats)
         # Audit registries: weak references so tracking never extends a
         # process's or primitive's lifetime. Dead refs are pruned lazily
         # whenever a list doubles past its last compaction size.
         self._audit_processes: List[weakref.ref] = []
         self._audit_primitives: List[weakref.ref] = []
         self._audit_prune_at = 64
+
+    def __del__(self):
+        # The collector clears weakrefs before finalizers run, so the
+        # registry entry can no longer reach this simulator through
+        # stats.sync(); hand it the final queue counters directly.
+        self.stats._pull(self._queue)
 
     # -- clock ------------------------------------------------------------
     @property
@@ -316,7 +309,7 @@ class Simulator:
 
     # -- audit -------------------------------------------------------------
     def _register_primitive(self, primitive) -> None:
-        """Track a Resource/Store for :meth:`audit` (weakly)."""
+        """Track a Resource for :meth:`audit` (weakly)."""
         self._audit_primitives.append(weakref.ref(primitive))
 
     def _prune_audit(self) -> None:
@@ -325,7 +318,7 @@ class Simulator:
         self._audit_prune_at = max(64, 2 * len(self._audit_processes))
 
     def audit(self) -> AuditReport:
-        """Snapshot live processes and outstanding Resource/Store slots.
+        """Snapshot live processes and outstanding Resource slots.
 
         The end-of-run quiescence monitor is built on this, but it is
         just as useful standalone:
@@ -333,31 +326,23 @@ class Simulator:
             sim.audit().require_quiescent(allow_processes=("bmhv.",))
 
         raises a :class:`QuiescenceError` naming every never-completed
-        process, held resource slot, and blocked store putter.
+        process and held resource slot.
         """
         live = [proc for ref in self._audit_processes
                 if (proc := ref()) is not None and proc.is_alive]
-        resources, stores = [], []
-        for ref in self._audit_primitives:
-            primitive = ref()
-            if primitive is None:
-                continue
-            label = getattr(primitive, "label", "") or type(primitive).__name__
-            if hasattr(primitive, "capacity") and hasattr(primitive, "in_use"):
-                resources.append((label, primitive.in_use, primitive.capacity,
-                                  primitive.queue_length))
-            elif hasattr(primitive, "items"):
-                stores.append((label, len(primitive.items),
-                               len(primitive._putters), len(primitive._getters)))
-        return AuditReport(self._now, live, resources, stores)
+        resources = [(res.label or type(res).__name__, res.in_use,
+                      res.capacity, res.queue_length)
+                     for ref in self._audit_primitives
+                     if (res := ref()) is not None]
+        return AuditReport(self._now, live, resources)
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         """Schedule ``event`` to pop ``delay`` seconds from now.
 
-        With :meth:`_schedule_at`, this is the *only* way entries enter
-        the event queue — no module outside ``sim/core.py`` touches the
-        queue representation, which is what makes it swappable.
+        With :meth:`_schedule_at` and :meth:`schedule_batch`, this is
+        the only way entries enter the event queue — no module outside
+        ``sim/core.py`` touches the queue representation.
         """
         self._queue.push(self._now + delay, next(self._counter), event)
 
@@ -384,35 +369,6 @@ class Simulator:
                                 for when, event in zip(whens, events)])
 
     # -- main loop ----------------------------------------------------------
-    def _dispatch(self, event: Event) -> None:
-        """Fire one popped event (clock already advanced)."""
-        stats = self.stats
-        stats.events_popped += 1
-        waiter = event._waiter
-        if waiter is not None:
-            # Fast lane: a single process is waiting and nobody else
-            # subscribed; resume it directly. The guards mirror
-            # Process._resume minus the urgent-interrupt case —
-            # fast-lane events are never interrupt carriers (interrupts
-            # always go through add_callback).
-            event._waiter = None
-            event._state = PROCESSED
-            stats.fast_path_hits += 1
-            if waiter._state is PENDING and event is waiter._target:
-                waiter._advance(event)
-            return
-        callbacks, event.callbacks = event.callbacks, None
-        event._state = PROCESSED
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-
-    def step(self) -> None:
-        """Process the next scheduled event."""
-        when, _, event = self._queue.pop()
-        self._now = when
-        self._dispatch(event)
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
 
@@ -420,7 +376,7 @@ class Simulator:
         even if no event is scheduled at that instant.
 
         The dispatch body is inlined here (and in :meth:`run_process`)
-        rather than calling :meth:`step`: at ~10⁵ events per simulated
+        rather than factored into a method: at ~10⁵ events per simulated
         experiment the per-event call overhead is measurable.
         """
         if until is not None and until < self._now:
@@ -437,6 +393,10 @@ class Simulator:
                 stats.events_popped += 1
                 waiter = event._waiter
                 if waiter is not None:
+                    # Fast lane: a single process is waiting and nobody
+                    # else subscribed; resume it directly. The guards
+                    # mirror Process._resume minus the urgent-interrupt
+                    # case — interrupts always go through add_callback.
                     event._waiter = None
                     event._state = PROCESSED
                     stats.fast_path_hits += 1

@@ -30,7 +30,9 @@ tie-break produces).
 Idle-skip is always on in shipped runs. Busy polling stays as the
 reference the equivalence tests compare against: a test flips every
 loop at once with ``set_idle_skip_default(False)`` and restores the
-default afterwards.
+default afterwards. :meth:`Doorbell.park` owns that choice, so poll
+loops never branch on it: with idle-skip off it returns the loop's next
+busy-poll spin instead of a parked event.
 """
 
 from __future__ import annotations
@@ -64,11 +66,7 @@ class Doorbell:
         while True:
             busy = drain_everything()
             if not busy:
-                if doorbell.enabled:
-                    yield doorbell.park()
-                else:
-                    sim.stats.idle_poll_events += 1
-                    yield sim.timeout(poll_interval_s)
+                yield doorbell.park()
 
     Producers call :meth:`ring` whenever they make work visible to the
     loop. Rings while the loop is busy (or already woken) are no-ops:
@@ -92,18 +90,33 @@ class Doorbell:
     def is_parked(self) -> bool:
         return self._parked is not None
 
-    def park(self) -> Event:
-        """Event that fires at the quantized wake tick after a ring.
+    def park(self, deadline_s: Optional[float] = None) -> Event:
+        """The loop's idle wait: what to yield after an empty drain pass.
+
+        * idle-skip off: the busy-poll spin, a one-interval timeout
+          counted in ``idle_poll_events``;
+        * idle-skip on: an event that fires at the quantized wake tick
+          after a :meth:`ring`;
+        * idle-skip on with ``deadline_s``: that event or the first
+          poll-grid tick at or after ``deadline_s``, whichever comes
+          first (see :meth:`deadline`). The caller must :meth:`cancel`
+          after the wait returns.
 
         Must be called by the loop process itself, immediately after a
         drain pass that found nothing (so no work can slip between the
         check and the park).
         """
-        event = Event(self.sim)
+        sim = self.sim
+        if not self.enabled:
+            sim.stats.idle_poll_events += 1
+            return sim.timeout(self.interval)
+        event = Event(sim)
         self._parked = event
-        self._anchor = self.sim._now
-        self.sim.stats.doorbell_parks += 1
-        return event
+        self._anchor = sim._now
+        sim.stats.doorbell_parks += 1
+        if deadline_s is None:
+            return event
+        return sim.any_of([event, self.deadline(deadline_s)])
 
     def ring(self) -> None:
         """Producer-side notification: schedule the parked loop's wakeup."""
@@ -137,9 +150,8 @@ class Doorbell:
         busy-poll loop notices an expired deadline on the first grid
         tick whose time is ``>= deadline_s``, and this event fires at
         exactly that tick, replayed with the same chained additions
-        from the current park anchor. Must be called after
-        :meth:`park` (the anchor is the park time); pair with
-        ``sim.any_of([wake, limit])`` and always :meth:`cancel` after.
+        from the current park anchor. ``park(deadline_s)`` pairs it
+        with the parked event.
         """
         interval = self.interval
         tick = self._anchor + interval

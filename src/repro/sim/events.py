@@ -20,7 +20,7 @@ is slotted and the callback list is lazy: ``callbacks`` stays ``None``
 until someone subscribes. The dominant subscriber — a process doing
 ``yield sim.timeout(dt)`` — never materializes the list at all: the
 kernel stores the process in ``_waiter`` and the simulator dispatches
-it directly when the event pops (see ``Simulator.step``).
+it directly when the event pops (see ``Simulator.run``).
 """
 
 from __future__ import annotations

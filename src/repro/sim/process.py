@@ -12,14 +12,14 @@ Hot-path notes
 --------------
 When a process waits on a pristine event (no other subscriber), it
 claims the event's ``_waiter`` slot instead of appending a bound
-method to a callback list; ``Simulator.step`` then checks the resume
-guards inline and dispatches the pop straight into :meth:`_advance`.
-The generic :meth:`_resume` path remains for shared events,
-conditions, and interrupts, and is the only path used when the
-simulator is built with ``fast_path=False`` (the reference kernel the
-equivalence tests compare against). A process nobody has joined
-finishes without scheduling a completion event at all — it goes
-straight to PROCESSED, and late joiners resume inline.
+method to a callback list; the simulator's run loops then check the
+resume guards inline and dispatch the pop straight into
+:meth:`_advance`. The generic :meth:`_resume` path remains for shared
+events, conditions, and interrupts. The reference kernel the
+equivalence tests compare against (``tests/sim/reference_kernel.py``)
+overrides :meth:`_advance` to take the generic path always. A process
+nobody has joined finishes without scheduling a completion event at
+all — it goes straight to PROCESSED, and late joiners resume inline.
 """
 
 from __future__ import annotations
@@ -52,12 +52,8 @@ class Process(Event):
         # rides the fast lane; no callback list is ever allocated.
         start = Event(sim)
         start._state = TRIGGERED
-        if sim._fast_path:
-            start._waiter = self
-            self._target: Optional[Event] = start
-        else:
-            self._target = None
-            start.add_callback(self._resume)
+        start._waiter = self
+        self._target: Optional[Event] = start
         sim._schedule(start)
 
     @property
@@ -105,9 +101,9 @@ class Process(Event):
     def _advance(self, event: Event) -> None:
         """Resume the generator; guards live in the callers.
 
-        ``Simulator.step`` dispatches here directly for fast-lane pops
-        (after checking the state/target guards inline); :meth:`_resume`
-        is the generic-callback entry point.
+        The simulator's run loops dispatch here directly for fast-lane
+        pops (after checking the state/target guards inline);
+        :meth:`_resume` is the generic-callback entry point.
         """
         sim = self.sim
         sim._active_process = self
@@ -145,8 +141,7 @@ class Process(Event):
             return
         self._target = next_target
         if (
-            self.sim._fast_path
-            and next_target._waiter is None
+            next_target._waiter is None
             and next_target.callbacks is None
             and next_target._state is not PROCESSED
         ):

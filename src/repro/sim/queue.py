@@ -23,11 +23,11 @@ The queue also keeps depth/traffic counters (``pushes``, ``pops``,
 through :class:`~repro.sim.core.EventStats`.
 
 Batch traffic (DESIGN.md §14): homogeneous event floods — the
-vectorized churn engine's per-batch wakeups, dense poll grids — go
-through ``push_batch``/``pop_batch``. Both are *observably identical*
-to the equivalent sequence of ``push``/``pop`` calls (same pop order,
-same counters; the property tests check this on random schedules) but
-hoist attribute lookups out of the per-entry loop.
+vectorized churn engine's per-batch wakeups — go through
+``push_batch``. It is *observably identical* to the equivalent
+sequence of ``push`` calls (same pop order, same counters; the
+property tests check this on random schedules) but hoists attribute
+lookups out of the per-entry loop.
 """
 
 from __future__ import annotations
@@ -229,15 +229,3 @@ class CalendarQueue:
         self.pushes += count
         if self._len > self.len_max:
             self.len_max = self._len
-
-    def pop_batch(self) -> List[Entry]:
-        """Pop every entry sharing the earliest ``when``, in order."""
-        if not self._len:
-            raise IndexError("pop from an empty event queue")
-        first = self.pop()
-        out = [first]
-        when = first[0]
-        while self._len and self.peek_when() == when:
-            out.append(self.pop())
-        return out
-

@@ -5,8 +5,6 @@ hypervisor models:
 
 * :class:`Resource` — counted resource with FIFO waiters (CPU cores,
   DMA channels, PCIe tags).
-* :class:`Store` — FIFO buffer of items with blocking get/put
-  (virtqueue back-pressure, NIC queues).
 * :class:`TokenBucket` — rate limiter (PPS / bandwidth / IOPS caps as
   deployed in the paper's cloud).
 """
@@ -14,11 +12,11 @@ hypervisor models:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque, Optional
 
 from repro.sim.events import Event
 
-__all__ = ["Resource", "Store", "TokenBucket"]
+__all__ = ["Resource", "TokenBucket"]
 
 
 class Resource:
@@ -121,78 +119,6 @@ class Resource:
             pass
         if event.triggered:
             self.release()
-
-
-class Store:
-    """A FIFO buffer with optional capacity and blocking get/put."""
-
-    def __init__(self, sim, capacity: Optional[int] = None, label: str = ""):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.label = label
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()
-        register = getattr(sim, "_register_primitive", None)
-        if register is not None:
-            register(self)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self.items) >= self.capacity
-
-    def put(self, item: Any) -> Event:
-        """Return an event that fires once ``item`` is accepted."""
-        event = Event(self.sim)
-        if self._getters:
-            # Hand directly to a waiting consumer.
-            self._getters.popleft().succeed(item)
-            event.succeed()
-        elif not self.is_full:
-            self.items.append(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when the store is full."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
-        if self.is_full:
-            return False
-        self.items.append(item)
-        return True
-
-    def get(self) -> Event:
-        """Return an event that fires with the oldest item."""
-        event = Event(self.sim)
-        if self.items:
-            event.succeed(self.items.popleft())
-            self._admit_putter()
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> tuple:
-        """Non-blocking get; returns ``(ok, item)``."""
-        if self.items:
-            item = self.items.popleft()
-            self._admit_putter()
-            return True, item
-        return False, None
-
-    def _admit_putter(self) -> None:
-        if self._putters and not self.is_full:
-            event, item = self._putters.popleft()
-            self.items.append(item)
-            event.succeed()
 
 
 class TokenBucket:

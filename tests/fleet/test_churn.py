@@ -4,8 +4,9 @@ The scale benchmark is only trustworthy because the batched engine is
 observably the scalar per-guest loop: same :class:`ChurnPlan` (one
 canonical RNG draw order), same placements, same audit chain, same
 ``Region.report()`` byte for byte. These tests pin that equivalence —
-across guest representations (objects vs array ledger) and arbitrary
-batch widths — plus the sampling invariants of the plan itself.
+array-ledger guests against the scalar reference's region guests
+(``tests/fleet/scalar_churn.py``), at arbitrary batch widths — plus the
+sampling invariants of the plan itself.
 """
 
 import numpy as np
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import (ChurnPlan, GuestArrayLedger, Region, RegionSpec,
-                         ScalarChurnEngine, VectorizedChurnEngine)
+                         VectorizedChurnEngine)
 from repro.fleet.region import TIERS
 from repro.sim import Simulator
+from tests.fleet.scalar_churn import ScalarChurnEngine
 
 
 def _small_spec(**overrides) -> RegionSpec:
@@ -45,14 +47,6 @@ def _scalar(region, plan):
 
 
 class TestEngineEquivalence:
-    def test_vectorized_objects_matches_scalar(self):
-        spec = _small_spec()
-        reference = _run_region(3, spec, _scalar)
-        vectorized = _run_region(
-            3, spec, lambda r, p: VectorizedChurnEngine(r, p,
-                                                        guests="objects"))
-        assert vectorized == reference
-
     def test_vectorized_arrays_matches_scalar(self):
         spec = _small_spec()
         reference = _run_region(3, spec, _scalar)
@@ -63,17 +57,15 @@ class TestEngineEquivalence:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16),
-           batch_ms=st.floats(min_value=1.0, max_value=4000.0),
-           guests=st.sampled_from(["objects", "arrays"]))
+           batch_ms=st.floats(min_value=1.0, max_value=4000.0))
     def test_property_equivalence_any_seed_and_batch_width(
-            self, seed, batch_ms, guests):
+            self, seed, batch_ms):
         """Batch width is a pure performance knob, never an observable."""
         spec = _small_spec(duration_s=2.0, arrival_rate_per_s=6.0)
         reference = _run_region(seed, spec, _scalar)
         vectorized = _run_region(
             seed, spec,
-            lambda r, p: VectorizedChurnEngine(r, p, guests=guests,
-                                               batch_s=batch_ms / 1e3))
+            lambda r, p: VectorizedChurnEngine(r, p, batch_s=batch_ms / 1e3))
         assert vectorized == reference
 
     def test_array_ledger_attached_only_in_arrays_mode(self):
@@ -92,8 +84,9 @@ class TestEngineEquivalence:
         sim = Simulator(seed=1)
         region = Region(sim, spec)
         plan = ChurnPlan.for_region(region)
-        with pytest.raises(ValueError):
-            VectorizedChurnEngine(region, plan, guests="bogus")
+        for mode in ("objects", "bogus"):
+            with pytest.raises(ValueError):
+                VectorizedChurnEngine(region, plan, guests=mode)
 
 
 class TestChurnPlan:

@@ -31,12 +31,6 @@ class TestPickling:
         assert clone == result
         assert clone.passed is False
 
-    def test_experiment_result_round_trips_through_dict(self):
-        result = ExperimentResult(
-            "fig0", "title", rows=[{"a": 1}],
-            checks=[Check("c", True, "d")], notes="n")
-        assert ExperimentResult.from_dict(result.as_dict()) == result
-
 
 class TestExecute:
     def test_collects_per_job_event_totals(self):

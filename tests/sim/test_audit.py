@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from repro.sim import QuiescenceError, Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 @pytest.fixture
@@ -76,19 +76,6 @@ class TestAuditPrimitives:
         assert report.busy_resources == [("channels", 1, 2, 0)]
         sim.run(until=20.0)
         assert sim.audit().busy_resources == []
-
-    def test_blocked_putter_reported(self, sim):
-        store = Store(sim, capacity=1, label="mbox")
-
-        def producer():
-            yield store.put("a")
-            yield store.put("b")  # blocks: capacity 1, nobody gets
-
-        sim.spawn(producer(), name="prod")
-        sim.run(until=1.0)
-        report = sim.audit()
-        assert report.stuck_putters == [("mbox", 1, 1, 0)]
-        assert any("mbox" in line for line in report.offenders(("prod",)))
 
     def test_unlabeled_primitive_uses_type_name(self, sim):
         resource = Resource(sim, capacity=1)

@@ -1,8 +1,11 @@
 """Unit tests for the simulator kernel."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Simulator, global_event_totals
 
 
 @pytest.fixture
@@ -105,3 +108,25 @@ class TestDeterminism:
         sim = Simulator(seed=9)
         assert sim.streams.get("s") is sim.streams.get("s")
         assert len(sim.streams) == 1
+
+
+class TestStatsRegistry:
+    def test_registry_does_not_keep_simulators_alive(self):
+        """A collected simulator leaves its final counters behind.
+
+        Queued events hold their simulator, so the registry entry must
+        not hold the queue; the totals must not change on collection.
+        """
+        sim = Simulator(seed=0)
+
+        def sleeper(sim):
+            yield sim.timeout(10.0)
+
+        sim.spawn(sleeper(sim))
+        sim.run(until=1.0)
+        ref = weakref.ref(sim)
+        before = global_event_totals()
+        del sim
+        gc.collect()
+        assert ref() is None
+        assert global_event_totals() == before

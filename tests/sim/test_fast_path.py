@@ -1,11 +1,12 @@
 """Tests for the kernel fast lane, EventStats, and the doorbell.
 
-The fast lane (``Event._waiter`` + direct dispatch in ``Simulator.step``)
+The fast lane (``Event._waiter`` + direct dispatch in the run loops)
 and the doorbell idle-skip are pure performance features: every
-observable behavior must be identical to the reference generic-callback
-kernel (``Simulator(fast_path=False)``). The hypothesis test at the
-bottom drives a random mix of timeouts and doorbell park/ring traffic
-through both kernels and requires bit-identical traces.
+observable behavior must be identical to the generic-callback
+reference kernel (:mod:`tests.sim.reference_kernel`). The hypothesis
+test at the bottom drives a random mix of timeouts and doorbell
+park/ring traffic through both kernels and requires bit-identical
+traces.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Doorbell, Simulator, set_idle_skip_default
+from tests.sim.reference_kernel import ReferenceSimulator
 
 
 @pytest.fixture
@@ -51,7 +53,7 @@ class TestEventStats:
         assert sim.stats.events_popped > sim.stats.fast_path_hits
 
     def test_slow_kernel_never_hits_fast_path(self):
-        sim = Simulator(seed=0, fast_path=False)
+        sim = ReferenceSimulator(seed=0)
 
         def proc(sim):
             yield sim.timeout(1.0)
@@ -158,16 +160,12 @@ class TestRunProcess:
 
 
 class TestDoorbell:
-    def _poll_loop(self, sim, bell, work, log, interval):
+    def _poll_loop(self, sim, bell, work, log):
         while True:
             if work:
                 log.append((sim.now, work.pop(0)))
                 continue
-            if bell.enabled:
-                yield bell.park()
-            else:
-                sim.stats.idle_poll_events += 1
-                yield sim.timeout(interval)
+            yield bell.park()
 
     def test_wake_time_matches_busy_poll_grid_bitwise(self):
         # The busy-poll grid is a *chain* of float additions; the
@@ -179,7 +177,7 @@ class TestDoorbell:
             sim = Simulator(seed=0)
             bell = Doorbell(sim, interval, enabled=enabled)
             work, log = [], []
-            sim.spawn(self._poll_loop(sim, bell, work, log, interval))
+            sim.spawn(self._poll_loop(sim, bell, work, log))
 
             def producer(sim):
                 yield sim.timeout(ring_at)
@@ -195,7 +193,7 @@ class TestDoorbell:
     def test_skipped_polls_are_counted(self, sim):
         bell = Doorbell(sim, 1e-6, enabled=True)
         work, log = [], []
-        sim.spawn(self._poll_loop(sim, bell, work, log, 1e-6))
+        sim.spawn(self._poll_loop(sim, bell, work, log))
 
         def producer(sim):
             yield sim.timeout(100e-6)
@@ -208,6 +206,44 @@ class TestDoorbell:
         assert sim.stats.doorbell_rings == 1
         # ~99 idle ticks between t=0 and the ring were never scheduled.
         assert sim.stats.idle_polls_skipped > 90
+
+    @pytest.mark.parametrize("enabled, deadline_ticks, wake_ticks", [
+        # Idle-skip off: the busy-poll spin, one interval, deadline or not.
+        (False, None, 1),
+        (False, 2.5, 1),
+        # Idle-skip on: a parked event nothing fires without a ring...
+        (True, None, None),
+        # ...or, with a deadline, the first grid tick at or after it.
+        (True, 2.5, 3),
+        (True, 2, 2),
+    ])
+    def test_park_without_ring(self, sim, enabled, deadline_ticks,
+                               wake_ticks):
+        interval = 1e-6
+        t0 = 0.3e-6
+        bell = Doorbell(sim, interval, enabled=enabled)
+
+        def grid(ticks):
+            # The busy-poll grid: chained additions from the park time.
+            tick = t0
+            for _ in range(int(ticks)):
+                tick += interval
+            return tick + (ticks % 1) * interval
+
+        woke = []
+
+        def loop(sim):
+            yield sim.timeout(t0)
+            deadline = None if deadline_ticks is None else grid(deadline_ticks)
+            yield bell.park(deadline)
+            bell.cancel()
+            woke.append(sim.now)
+
+        sim.spawn(loop(sim))
+        sim.run(until=1e-3)
+        assert woke == ([] if wake_ticks is None else [grid(wake_ticks)])
+        assert sim.stats.idle_poll_events == (0 if enabled else 1)
+        assert sim.stats.doorbell_parks == (1 if enabled else 0)
 
     def test_ring_without_park_is_noop(self, sim):
         bell = Doorbell(sim, 1e-6)
@@ -257,11 +293,11 @@ _OPS = st.lists(
 )
 
 
-def _run_mix(fast_path, plans, ring_delays):
+def _run_mix(sim_cls, plans, ring_delays):
     """One scenario: workers mixing timeouts and doorbell parks, plus
     producers ringing the workers' doorbells at random times. Returns
     the full resume trace (time, worker, op index)."""
-    sim = Simulator(seed=0, fast_path=fast_path)
+    sim = sim_cls(seed=0)
     trace = []
     bells = [Doorbell(sim, 1e-6, enabled=True) for _ in plans]
 
@@ -294,6 +330,6 @@ def _run_mix(fast_path, plans, ring_delays):
 )
 @settings(max_examples=80, deadline=None)
 def test_fast_kernel_matches_reference_kernel(plans, ring_delays):
-    fast = _run_mix(True, plans, ring_delays)
-    slow = _run_mix(False, plans, ring_delays)
+    fast = _run_mix(Simulator, plans, ring_delays)
+    slow = _run_mix(ReferenceSimulator, plans, ring_delays)
     assert fast == slow

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator, Store, TokenBucket
+from repro.sim import Resource, Simulator, TokenBucket
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
@@ -49,21 +49,6 @@ def test_resource_never_exceeds_capacity_and_serves_everyone(capacity, n_users, 
     assert peak[0] <= capacity
     assert served[0] == n_users
     assert resource.available == capacity
-
-
-@given(items=st.lists(st.integers(), min_size=0, max_size=100))
-@settings(max_examples=50, deadline=None)
-def test_store_preserves_fifo_order(items):
-    sim = Simulator(seed=0)
-    store = Store(sim)
-    for item in items:
-        store.put(item)
-    out = []
-    for _ in items:
-        event = store.get()
-        assert event.triggered
-        out.append(event.value)
-    assert out == items
 
 
 @given(

@@ -187,7 +187,7 @@ def test_property_identical_pop_order_heap_vs_calendar(ops):
         assert _run_schedule(new_queue(kind), ops) == reference
 
 
-# -- batch operations (push_batch / pop_batch) -------------------------
+# -- batch operations (push_batch) --------------------------------------
 
 def _counters(queue):
     return {name: getattr(queue, name)
@@ -222,38 +222,6 @@ def test_property_push_batch_equals_sequential_pushes(kind, pre, batch):
 
     assert _counters(batched) == _counters(sequential)
     assert _drain(batched) == _drain(sequential)
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-@settings(max_examples=150, deadline=None)
-@given(whens=_batch_whens)
-def test_property_pop_batch_equals_sequential_pops(kind, whens):
-    """pop_batch drains exactly the earliest timestamp, counters equal."""
-    entries = [(when, counter, None)
-               for counter, when in enumerate(whens)]
-    sequential = new_queue(kind)
-    batched = new_queue(kind)
-    for entry in entries:
-        sequential.push(*entry)
-        batched.push(*entry)
-
-    while len(batched):
-        got = batched.pop_batch()
-        assert got, "pop_batch returned nothing from a non-empty queue"
-        earliest = got[0][0]
-        assert all(entry[0] == earliest for entry in got)
-        expect = [sequential.pop() for _ in got]
-        assert got == expect
-        if len(sequential):
-            assert sequential.peek_when() > earliest
-        assert _counters(batched) == _counters(sequential)
-    assert len(sequential) == 0
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_pop_batch_empty_queue_raises(kind):
-    with pytest.raises(IndexError):
-        new_queue(kind).pop_batch()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

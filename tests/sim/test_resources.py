@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store, and TokenBucket."""
+"""Unit tests for Resource and TokenBucket."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store, TokenBucket
+from repro.sim import Resource, Simulator, TokenBucket
 
 
 @pytest.fixture
@@ -51,44 +51,6 @@ class TestResource:
             sim.spawn(user(sim))
         sim.run()
         assert finish_times == [1.0, 2.0, 3.0]
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("item")
-        event = store.get()
-        assert event.triggered and event.value == "item"
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        event = store.get()
-        assert not event.triggered
-        store.put("late")
-        assert event.value == "late"
-
-    def test_fifo_ordering(self, sim):
-        store = Store(sim)
-        for i in range(3):
-            store.put(i)
-        assert [store.get().value for _ in range(3)] == [0, 1, 2]
-
-    def test_capacity_blocks_put(self, sim):
-        store = Store(sim, capacity=1)
-        first = store.put("a")
-        second = store.put("b")
-        assert first.triggered and not second.triggered
-        store.get()
-        assert second.triggered
-
-    def test_try_put_try_get(self, sim):
-        store = Store(sim, capacity=1)
-        assert store.try_put("x")
-        assert not store.try_put("y")
-        ok, item = store.try_get()
-        assert ok and item == "x"
-        ok, item = store.try_get()
-        assert not ok and item is None
 
 
 class TestTokenBucket:
