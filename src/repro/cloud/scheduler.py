@@ -3,8 +3,7 @@
 The cloud control plane "selects an available bare-metal server and
 picks an idle compute board and powers it on" (Section 3.2). This
 module is that selection logic: capacity records per server, first-fit
-placement for bm boards and HT bin-packing for VMs, plus utilization
-accounting the density experiment uses.
+placement for bm boards and HT bin-packing for VMs.
 
 Health-aware placement (DESIGN.md §13): a server can be *quarantined*,
 which removes its capacity from the sellable pool without forgetting
@@ -14,30 +13,24 @@ selects it. :meth:`Scheduler.healthy_headroom` reports the remaining
 free capacity on non-quarantined servers; the admission circuit
 breaker keys off it.
 
-Indexed placement (DESIGN.md §14): ``place`` used to scan every
-registered server per call, and ``capacity_summary`` — called per
-arrival through the admission breaker — re-walked the fleet too. Both
-are now backed by an availability index so a million-guest region
+Indexed placement (DESIGN.md §14): a million-guest region
 (``repro.fleet.churn`` + ``experiments/region_scale``) pays O(log n)
-per placement and O(1) per admission decision:
+per placement and O(1) per admission decision. Capacity state lives in
+three places:
 
-* a per-kind min-heap of *registration indices* of servers believed to
-  have free capacity. Popping the heap yields candidates in exact
-  registration order, so first-fit placement order is bit-identical to
-  the old linear scan (the existing goldens prove it). Entries go
-  stale lazily — a server that filled up or was quarantined is simply
-  dropped when popped; a VM candidate too full for *this* request but
-  not empty is pushed back after the search;
-* per-kind headroom-bucketed free lists — ``{free_slots: {names}}``
-  dict-of-sets over non-quarantined servers — giving O(1) membership
-  moves on place/release and an O(#distinct levels) "can anything fit
-  this request?" pre-check (:meth:`headroom_histogram` exposes them);
-* running aggregate counters maintained on every mutation, so
-  ``capacity_summary``/``healthy_headroom`` are dictionary copies, not
-  fleet walks — plus numpy capacity arrays (one slot per registration
-  index) from which :meth:`recompute_summary` re-derives the summary
-  with vectorized reductions; :meth:`verify_index` asserts the two
-  agree, which the scale experiment and the unit tests gate on.
+* the :class:`ServerCapacity` records, which are the truth;
+* a per-kind min-heap of *registration indices*, the first-fit index,
+  with ``_in_heap`` flagging which servers have an entry. Popping the
+  heap yields candidates in registration order, so placement is
+  exactly a linear first-fit scan. Entries go stale lazily — a server
+  that filled up or was quarantined is dropped when popped; a VM
+  server too full for *this* request but not empty is pushed back
+  after the search;
+* running totals (``_totals``), updated on every mutation, so
+  ``capacity_summary``/``healthy_headroom`` are dictionary reads, not
+  fleet walks. :meth:`Scheduler.recompute_summary` re-derives them
+  from the records and :meth:`Scheduler.verify_index` checks both the
+  totals and the heap invariant first fit depends on.
 """
 
 from __future__ import annotations
@@ -45,9 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.inventory import InstanceType
 
@@ -89,33 +80,11 @@ class ServerCapacity:
     used_hyperthreads: int = 0
     quarantined: bool = False      # excluded from placement while set
 
-    def can_host(self, itype: InstanceType) -> bool:
-        if self.quarantined:
-            return False
-        if itype.kind == "bm":
-            return self.kind == "bmhive" and self.used_boards < self.board_slots
-        return (
-            self.kind == "kvm"
-            and self.used_hyperthreads + itype.hyperthreads <= self.sellable_hyperthreads
-        )
-
-    def capacity_units(self) -> int:
-        """Total capacity in this server's native unit (boards or HT)."""
-        return self.board_slots if self.kind == "bmhive" \
-            else self.sellable_hyperthreads
-
     def free_units(self) -> int:
         """Unused capacity in native units, quarantine ignored."""
         if self.kind == "bmhive":
             return self.board_slots - self.used_boards
         return self.sellable_hyperthreads - self.used_hyperthreads
-
-    def utilization(self) -> float:
-        if self.kind == "bmhive":
-            return self.used_boards / self.board_slots if self.board_slots else 0.0
-        if not self.sellable_hyperthreads:
-            return 0.0
-        return self.used_hyperthreads / self.sellable_hyperthreads
 
 
 @dataclass(frozen=True)
@@ -134,6 +103,14 @@ _SUMMARY_KEYS = (
     "quarantined_servers", "quarantined_boards", "quarantined_ht",
 )
 
+# Per server kind: its server count, total, used, free and quarantined keys.
+_KIND_KEYS = {
+    "bmhive": ("bm_servers", "boards_total", "boards_used", "boards_free",
+               "quarantined_boards"),
+    "kvm": ("kvm_servers", "ht_total", "ht_used", "ht_free",
+            "quarantined_ht"),
+}
+
 
 class Scheduler:
     """First-fit scheduler over a heterogeneous server pool."""
@@ -144,18 +121,11 @@ class Scheduler:
         self._types: Dict[str, InstanceType] = {}
         self._ids = itertools.count(1)
         # -- availability index (DESIGN.md §14) -------------------------
-        self._order: List[str] = []            # registration order
+        self._order: List[ServerCapacity] = []  # registration order
         self._reg_index: Dict[str, int] = {}
         self._avail: Dict[str, List[int]] = {"bmhive": [], "kvm": []}
-        self._in_heap: Dict[str, bool] = {}    # name has a live heap entry
-        self._free_sets: Dict[str, Dict[int, Set[str]]] = {
-            "bmhive": {}, "kvm": {}}
+        self._in_heap: List[bool] = []  # reg index has a heap entry
         self._totals: Dict[str, int] = {key: 0 for key in _SUMMARY_KEYS}
-        # numpy capacity arrays, one slot per registration index.
-        self._np_cap = np.zeros(64, dtype=np.int64)
-        self._np_used = np.zeros(64, dtype=np.int64)
-        self._np_bm = np.zeros(64, dtype=bool)
-        self._np_quar = np.zeros(64, dtype=bool)
 
     # -- pool management -----------------------------------------------------
     def add_bmhive_server(self, name: str, board_slots: int) -> ServerCapacity:
@@ -173,14 +143,8 @@ class Scheduler:
             raise ValueError(f"server {server.name!r} already registered")
         self.servers[server.name] = server
         idx = len(self._order)
-        self._order.append(server.name)
+        self._order.append(server)
         self._reg_index[server.name] = idx
-        if idx >= len(self._np_cap):
-            self._grow_arrays()
-        self._np_cap[idx] = server.capacity_units()
-        self._np_used[idx] = 0
-        self._np_bm[idx] = server.kind == "bmhive"
-        self._np_quar[idx] = False
         totals = self._totals
         if server.kind == "bmhive":
             totals["bm_servers"] += 1
@@ -190,54 +154,17 @@ class Scheduler:
             totals["kvm_servers"] += 1
             totals["ht_total"] += server.sellable_hyperthreads
             totals["ht_free"] += server.sellable_hyperthreads
-        self._bucket_add(server)
-        if server.free_units() > 0:
-            heappush(self._avail[server.kind], idx)
-            self._in_heap[server.name] = True
-        else:
-            self._in_heap[server.name] = False
+        self._in_heap.append(False)
+        self._push(idx)
         return server
 
-    def _grow_arrays(self) -> None:
-        size = 2 * len(self._np_cap)
-        for attr in ("_np_cap", "_np_used", "_np_bm", "_np_quar"):
-            old = getattr(self, attr)
-            fresh = np.zeros(size, dtype=old.dtype)
-            fresh[: len(old)] = old
-            setattr(self, attr, fresh)
-
-    # -- free-list buckets ---------------------------------------------------
-    def _bucket_add(self, server: ServerCapacity) -> None:
-        buckets = self._free_sets[server.kind]
-        free = server.free_units()
-        members = buckets.get(free)
-        if members is None:
-            buckets[free] = members = set()
-        members.add(server.name)
-
-    def _bucket_remove(self, server: ServerCapacity, free: int) -> None:
-        buckets = self._free_sets[server.kind]
-        members = buckets[free]
-        members.discard(server.name)
-        if not members:
-            del buckets[free]
-
-    def _bucket_move(self, server: ServerCapacity, old_free: int) -> None:
-        if not server.quarantined:
-            self._bucket_remove(server, old_free)
-            self._bucket_add(server)
-
-    def headroom_histogram(self, kind: str = "bmhive") -> Dict[int, int]:
-        """Non-quarantined server count per free-capacity level, sorted."""
-        if kind not in self._free_sets:
-            raise ValueError(
-                f"kind must be 'bmhive' or 'kvm', got {kind!r}")
-        return {free: len(members) for free, members
-                in sorted(self._free_sets[kind].items())}
-
-    def _any_fit(self, kind: str, need: int) -> bool:
-        return any(free >= need and members
-                   for free, members in self._free_sets[kind].items())
+    def _push(self, idx: int) -> None:
+        """Give a healthy server with free capacity its heap entry."""
+        server = self._order[idx]
+        if not self._in_heap[idx] and not server.quarantined \
+                and server.free_units() > 0:
+            heappush(self._avail[server.kind], idx)
+            self._in_heap[idx] = True
 
     # -- health --------------------------------------------------------------
     def quarantine(self, name: str) -> bool:
@@ -249,9 +176,7 @@ class Scheduler:
         server = self._server(name)
         changed = not server.quarantined
         if changed:
-            self._bucket_remove(server, server.free_units())
             server.quarantined = True
-            self._np_quar[self._reg_index[name]] = True
             totals = self._totals
             totals["quarantined_servers"] += 1
             if server.kind == "bmhive":
@@ -271,7 +196,6 @@ class Scheduler:
         changed = server.quarantined
         if changed:
             server.quarantined = False
-            self._np_quar[self._reg_index[name]] = False
             totals = self._totals
             totals["quarantined_servers"] -= 1
             if server.kind == "bmhive":
@@ -280,10 +204,7 @@ class Scheduler:
             else:
                 totals["quarantined_ht"] -= server.sellable_hyperthreads
                 totals["ht_free"] += server.free_units()
-            self._bucket_add(server)
-            if server.free_units() > 0 and not self._in_heap[name]:
-                heappush(self._avail[server.kind], self._reg_index[name])
-                self._in_heap[name] = True
+            self._push(self._reg_index[name])
         return changed
 
     def quarantined_servers(self) -> Tuple[str, ...]:
@@ -298,52 +219,51 @@ class Scheduler:
             raise KeyError(
                 f"unknown server {name!r}; servers: {known}") from None
 
-    def placements_on(self, name: str) -> Tuple[Placement, ...]:
-        """Placements currently hosted on ``name``, in id order."""
-        self._server(name)
-        return tuple(
-            self.placements[iid] for iid in sorted(self.placements)
-            if self.placements[iid].server == name
-        )
-
     # -- scheduling --------------------------------------------------------------
-    def _first_fit(self, itype: InstanceType) -> Optional[ServerCapacity]:
-        """Pop the lowest-registration-index server that can host.
+    def _first_fit(self, kind: str, need: int) -> Optional[int]:
+        """Claim ``need`` units on the first server that fits.
 
-        The heap holds every server believed free, so the minimum live
-        index that passes ``can_host`` is exactly the server the old
-        linear scan would have chosen. Stale entries (filled up or
-        quarantined since pushed) are discarded; VM servers too full
-        for this request but not for a smaller one are pushed back.
+        Returns the registration index of the lowest-indexed
+        non-quarantined ``kind`` server with ``need`` free units, after
+        charging them through :meth:`_consume`; ``None`` if none fits.
+        The heap holds every such server, so its minimum live entry is
+        exactly the server a linear scan would choose. Stale entries
+        (filled up or quarantined since pushed) are dropped; kvm
+        servers too full for this request but not empty are pushed
+        back.
+
+        The healthy free total is a necessary condition: for bm
+        (``need == 1``) it is exact, for kvm a fragmented pool still
+        falls through to the scan.
         """
-        kind = "bmhive" if itype.kind == "bm" else "kvm"
-        need = 1 if itype.kind == "bm" else itype.hyperthreads
-        if not self._any_fit(kind, need):
+        if self._totals["boards_free" if kind == "bmhive" else "ht_free"] < need:
             return None
         heap = self._avail[kind]
         in_heap = self._in_heap
+        order = self._order
         skipped: List[int] = []
-        found: Optional[ServerCapacity] = None
+        found: Optional[int] = None
         while heap:
             idx = heappop(heap)
-            name = self._order[idx]
-            server = self.servers[name]
-            if server.can_host(itype):
-                in_heap[name] = False
-                found = server
+            server = order[idx]
+            free = server.free_units()
+            if not server.quarantined and free >= need:
+                in_heap[idx] = False
+                found = idx
                 break
-            if server.quarantined or server.free_units() <= 0:
-                in_heap[name] = False   # stale entry: drop for good
+            if server.quarantined or free <= 0:
+                in_heap[idx] = False    # stale entry: drop for good
             else:
                 skipped.append(idx)     # free, just not big enough here
         for idx in skipped:
             heappush(heap, idx)
+        if found is not None:
+            self._consume(found, need)
         return found
 
-    def _consume(self, server: ServerCapacity, need: int) -> int:
-        """Charge ``need`` units to ``server``; returns its reg index."""
-        idx = self._reg_index[server.name]
-        old_free = server.free_units()
+    def _consume(self, idx: int, need: int) -> None:
+        """Charge ``need`` units to the server at ``idx``."""
+        server = self._order[idx]
         if server.kind == "bmhive":
             server.used_boards += need
             self._totals["boards_used"] += need
@@ -352,17 +272,11 @@ class Scheduler:
             server.used_hyperthreads += need
             self._totals["ht_used"] += need
             self._totals["ht_free"] -= need
-        self._np_used[idx] += need
-        self._bucket_move(server, old_free)
-        if server.free_units() > 0 and not self._in_heap[server.name]:
-            heappush(self._avail[server.kind], idx)
-            self._in_heap[server.name] = True
-        return idx
+        self._push(idx)
 
-    def _restore(self, server: ServerCapacity, need: int) -> None:
-        """Return ``need`` units of ``server``'s capacity to the pool."""
-        idx = self._reg_index[server.name]
-        old_free = server.free_units()
+    def _restore(self, idx: int, need: int) -> None:
+        """Return ``need`` units of the server at ``idx`` to the pool."""
+        server = self._order[idx]
         quarantined = server.quarantined
         if server.kind == "bmhive":
             server.used_boards -= need
@@ -374,29 +288,12 @@ class Scheduler:
             self._totals["ht_used"] -= need
             if not quarantined:
                 self._totals["ht_free"] += need
-        self._np_used[idx] -= need
-        self._bucket_move(server, old_free)
-        if not quarantined and not self._in_heap[server.name]:
-            heappush(self._avail[server.kind], idx)
-            self._in_heap[server.name] = True
+        self._push(idx)
 
-    def place(self, itype: InstanceType) -> Placement:
-        """Place one instance; first fit in registration order."""
-        server = self._first_fit(itype)
-        if server is not None:
-            self._consume(server, 1 if itype.kind == "bm"
-                          else itype.hyperthreads)
-            placement = Placement(
-                instance_id=f"i-{next(self._ids):06d}",
-                server=server.name,
-                instance_type=itype.name,
-            )
-            self.placements[placement.instance_id] = placement
-            self._types[placement.instance_id] = itype
-            return placement
+    def _no_capacity(self, what: str) -> CapacityError:
         summary = self.capacity_summary()
-        raise CapacityError(
-            f"no capacity for {itype.name} ({itype.kind}): "
+        return CapacityError(
+            f"no capacity for {what}: "
             f"boards {summary['boards_free']}/{summary['boards_total']} free "
             f"({summary['bm_servers']} bm servers), "
             f"hyperthreads {summary['ht_free']}/{summary['ht_total']} free "
@@ -407,15 +304,31 @@ class Scheduler:
             details=summary,
         )
 
+    def place(self, itype: InstanceType) -> Placement:
+        """Place one instance; first fit in registration order."""
+        if itype.kind == "bm":
+            idx = self._first_fit("bmhive", 1)
+        else:
+            idx = self._first_fit("kvm", itype.hyperthreads)
+        if idx is None:
+            raise self._no_capacity(f"{itype.name} ({itype.kind})")
+        placement = Placement(
+            instance_id=f"i-{next(self._ids):06d}",
+            server=self._order[idx].name,
+            instance_type=itype.name,
+        )
+        self.placements[placement.instance_id] = placement
+        self._types[placement.instance_id] = itype
+        return placement
+
     def release(self, instance_id: str) -> None:
         """Return an instance's capacity to the pool."""
         placement = self.placements.pop(instance_id, None)
         if placement is None:
             raise KeyError(f"unknown instance {instance_id!r}")
         itype = self._types.pop(instance_id)
-        server = self.servers[placement.server]
-        self._restore(server, 1 if itype.kind == "bm"
-                      else itype.hyperthreads)
+        self._restore(self._reg_index[placement.server],
+                      1 if itype.kind == "bm" else itype.hyperthreads)
 
     # -- indexed bulk placement (vectorized churn hot path) ------------------
     def place_board(self) -> int:
@@ -429,35 +342,29 @@ class Scheduler:
         :meth:`release_board`. Placements made this way do not appear
         in ``self.placements`` (there is no id to look them up by).
         """
-        heap = self._avail["bmhive"]
-        in_heap = self._in_heap
-        order = self._order
-        servers = self.servers
-        while heap:
-            idx = heappop(heap)
-            name = order[idx]
-            server = servers[name]
-            if not server.quarantined and server.used_boards < server.board_slots:
-                in_heap[name] = False
-                self._consume(server, 1)
-                return idx
-            in_heap[name] = False
-        summary = self.capacity_summary()
-        raise CapacityError(
-            f"no capacity for board (bm): "
-            f"boards {summary['boards_free']}/{summary['boards_total']} free "
-            f"({summary['bm_servers']} bm servers), "
-            f"{summary['quarantined_servers']} quarantined",
-            details=summary,
-        )
+        idx = self._first_fit("bmhive", 1)
+        if idx is None:
+            raise self._no_capacity("board (bm)")
+        return idx
 
     def release_board(self, reg_index: int) -> None:
-        """Return one board placed via :meth:`place_board`."""
-        self._restore(self.servers[self._order[reg_index]], 1)
+        """Return one board placed via :meth:`place_board`.
+
+        Raises ``KeyError`` when ``reg_index`` names no bm server with
+        a board in use, as :meth:`release` does for an unknown id.
+        """
+        if not 0 <= reg_index < len(self._order):
+            raise KeyError(f"no server at registration index {reg_index!r}")
+        server = self._order[reg_index]
+        if server.kind != "bmhive" or server.used_boards <= 0:
+            raise KeyError(
+                f"no board in use on {server.name!r} ({server.kind}) "
+                f"at registration index {reg_index}")
+        self._restore(reg_index, 1)
 
     def server_name(self, reg_index: int) -> str:
         """Name of the server at ``reg_index`` (registration order)."""
-        return self._order[reg_index]
+        return self._order[reg_index].name
 
     # -- reporting -----------------------------------------------------------------
     def capacity_summary(self) -> Dict[str, int]:
@@ -467,67 +374,62 @@ class Scheduler:
         sellable); totals include them, so ``boards_free/boards_total``
         is the healthy headroom fraction the circuit breaker watches.
 
-        O(1): a copy of aggregates maintained on every mutation. The
-        admission breaker calls this per arrival, so at region scale it
-        must not walk the fleet; :meth:`recompute_summary` re-derives
-        the same dict from the numpy capacity arrays when you want the
-        ground truth instead of the running counters.
+        O(1): a copy of the running totals. The admission breaker calls
+        this per arrival, so at region scale it must not walk the
+        fleet; :meth:`recompute_summary` re-derives the same dict from
+        the server records.
         """
         return dict(self._totals)
 
     def recompute_summary(self) -> Dict[str, int]:
-        """Vectorized ground-truth summary from the capacity arrays."""
-        n = len(self._order)
-        cap = self._np_cap[:n]
-        used = self._np_used[:n]
-        bm = self._np_bm[:n]
-        quar = self._np_quar[:n]
-        kvm = ~bm
-        healthy = ~quar
-        free = cap - used
+        """Ground-truth summary: one walk over the server records."""
         out = {key: 0 for key in _SUMMARY_KEYS}
-        out["bm_servers"] = int(bm.sum())
-        out["kvm_servers"] = int(kvm.sum())
-        out["boards_total"] = int(cap[bm].sum())
-        out["boards_used"] = int(used[bm].sum())
-        out["boards_free"] = int(free[bm & healthy].sum())
-        out["ht_total"] = int(cap[kvm].sum())
-        out["ht_used"] = int(used[kvm].sum())
-        out["ht_free"] = int(free[kvm & healthy].sum())
-        out["quarantined_servers"] = int(quar.sum())
-        out["quarantined_boards"] = int(cap[bm & quar].sum())
-        out["quarantined_ht"] = int(cap[kvm & quar].sum())
+        for server in self._order:
+            if server.kind == "bmhive":
+                cap, used = server.board_slots, server.used_boards
+            else:
+                cap, used = server.sellable_hyperthreads, server.used_hyperthreads
+            count, total, used_key, free, held = _KIND_KEYS[server.kind]
+            out[count] += 1
+            out[total] += cap
+            out[used_key] += used
+            if server.quarantined:
+                out["quarantined_servers"] += 1
+                out[held] += cap
+            else:
+                out[free] += cap - used
         return out
 
     def verify_index(self) -> bool:
-        """Assert the running aggregates match the vectorized recompute.
+        """Check the running totals and the heap against the records.
 
-        Also checks that every non-quarantined server sits in exactly
-        the free-list bucket its capacity record implies. Raises
-        :class:`SchedulerIndexError` on divergence; returns True otherwise.
+        The totals must equal :meth:`recompute_summary`. Each heap must
+        hold no duplicate, ``_in_heap`` must flag exactly the servers
+        with an entry, and every non-quarantined server with free
+        capacity must have one — the invariant first fit depends on.
+        Raises :class:`SchedulerIndexError` on divergence; returns True
+        otherwise.
         """
         cached = self.capacity_summary()
         truth = self.recompute_summary()
         if cached != truth:
             raise SchedulerIndexError(
-                f"summary counters diverged from capacity arrays:\n"
+                f"summary counters diverged from server records:\n"
                 f"  cached:   {cached}\n  recomputed: {truth}")
-        for kind, buckets in self._free_sets.items():
-            seen = {name for members in buckets.values() for name in members}
-            expected = {s.name for s in self.servers.values()
-                        if s.kind == kind and not s.quarantined}
-            if seen != expected:
+        entries = {kind: set(heap) for kind, heap in self._avail.items()}
+        if sum(map(len, self._avail.values())) != sum(self._in_heap):
+            raise SchedulerIndexError(
+                f"heaps hold {sum(map(len, self._avail.values()))} entries "
+                f"but {sum(self._in_heap)} servers are flagged in_heap")
+        for idx, server in enumerate(self._order):
+            listed = idx in entries[server.kind]
+            placeable = not server.quarantined and server.free_units() > 0
+            if self._in_heap[idx] != listed or (placeable and not listed):
                 raise SchedulerIndexError(
-                    f"{kind} free-list membership diverged: "
-                    f"missing={sorted(expected - seen)} "
-                    f"extra={sorted(seen - expected)}")
-            for free, members in buckets.items():
-                for name in members:
-                    actual = self.servers[name].free_units()
-                    if actual != free:
-                        raise SchedulerIndexError(
-                            f"{name} bucketed at free={free} "
-                            f"but has {actual}")
+                    f"{server.name} heap entry diverged: "
+                    f"listed={listed} in_heap={self._in_heap[idx]} "
+                    f"free={server.free_units()} "
+                    f"quarantined={server.quarantined}")
         return True
 
     def healthy_headroom(self, kind: str = "bm") -> float:
@@ -546,21 +448,3 @@ class Scheduler:
         else:
             raise ValueError(f"kind must be 'bm' or 'vm', got {kind!r}")
         return free / total if total else 1.0
-
-    def pool_utilization(self, kind: Optional[str] = None) -> float:
-        servers = [
-            s for s in self.servers.values() if kind is None or s.kind == kind
-        ]
-        if not servers:
-            return 0.0
-        return sum(s.utilization() for s in servers) / len(servers)
-
-    def total_sellable_hyperthreads(self, board_hyperthreads: int = 32) -> Dict[str, int]:
-        """Sellable HT per server kind (density comparison input)."""
-        totals = {"bmhive": 0, "kvm": 0}
-        for server in self.servers.values():
-            if server.kind == "bmhive":
-                totals["bmhive"] += server.board_slots * board_hyperthreads
-            else:
-                totals["kvm"] += server.sellable_hyperthreads
-        return totals

@@ -304,7 +304,7 @@ class Region:
             self.capacity_rejections[tier] += 1
             return
         if self.scheduler.servers[placement.server].quarantined:
-            # Must be impossible (can_host excludes quarantined); the
+            # Must be impossible (first fit skips quarantined); the
             # QuarantinePlacementMonitor turns any count into a failure.
             self.placements_on_quarantined += 1
         guest = RegionGuest(

@@ -110,25 +110,14 @@ class TestQuarantine:
     def test_existing_placements_survive_quarantine(self, scheduler):
         placement = scheduler.place(instance("ebm.e5.32ht"))
         scheduler.quarantine("hive-0")
-        on_server = scheduler.placements_on("hive-0")
-        assert [p.instance_id for p in on_server] == [placement.instance_id]
+        assert scheduler.placements == {placement.instance_id: placement}
+        assert scheduler.servers["hive-0"].used_boards == 1
         scheduler.release(placement.instance_id)
-        assert scheduler.placements_on("hive-0") == ()
+        assert scheduler.placements == {}
+        assert scheduler.servers["hive-0"].used_boards == 0
 
     def test_healthy_headroom_excludes_quarantined(self, scheduler):
         scheduler.add_bmhive_server("hive-1", board_slots=8)
         assert scheduler.healthy_headroom("bm") == pytest.approx(1.0)
         scheduler.quarantine("hive-1")
         assert scheduler.healthy_headroom("bm") == pytest.approx(0.5)
-
-
-class TestUtilization:
-    def test_pool_utilization_by_kind(self, scheduler):
-        scheduler.place(instance("ebm.e5.32ht"))
-        assert scheduler.pool_utilization("bmhive") == pytest.approx(1 / 8)
-        assert scheduler.pool_utilization("kvm") == 0.0
-
-    def test_density_totals(self, scheduler):
-        totals = scheduler.total_sellable_hyperthreads(board_hyperthreads=32)
-        assert totals["bmhive"] == 256
-        assert totals["kvm"] == 88

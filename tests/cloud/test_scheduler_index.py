@@ -1,15 +1,16 @@
 """Indexed-scheduler internals: the O(1) fast paths stay truthful.
 
-The rewrite replaced ``place()``'s linear scan with headroom buckets,
-per-kind availability heaps, and incrementally-maintained aggregate
-totals. Correctness of the *placements* is pinned by the original
-scheduler suite (unchanged); this file pins the index itself — cached
-summaries equal a from-scratch numpy recompute after any operation
-sequence, ``place_board``/``release_board`` are exactly ``place``/
-``release`` minus the Placement object, and ``verify_index`` actually
-catches corruption.
+``place()`` picks from per-kind availability heaps of registration
+indices, and ``capacity_summary()`` reads running totals. Correctness
+of the *placements* is pinned by the scheduler suite; this file pins
+the index itself — the totals equal a from-scratch walk over the
+server records after any operation sequence, ``place_board``/
+``release_board`` are exactly ``place``/``release`` minus the
+Placement object, and ``verify_index`` catches both a drifted total
+and a heap that lost a placeable server.
 """
 
+import heapq
 import os
 import subprocess
 import sys
@@ -18,7 +19,8 @@ import textwrap
 import pytest
 
 import repro
-from repro.cloud import CapacityError, Scheduler, instance
+from repro.cloud import (CapacityError, Scheduler, SchedulerIndexError,
+                         instance)
 
 
 def _fleet(n_bm=6, n_kvm=3):
@@ -63,26 +65,51 @@ class TestAggregateIndex:
         sched.readmit("hive-0")
         assert sched.healthy_headroom("bm") == 0.75
 
-    def test_headroom_histogram_counts_free_levels(self):
-        sched = _fleet(n_bm=3, n_kvm=0)
-        assert sched.headroom_histogram("bmhive") == {4: 3}
-        sched.place(instance("ebm.e5.32ht"))
-        assert sched.headroom_histogram("bmhive") == {3: 1, 4: 2}
-        sched.quarantine("hive-0")
-        histogram = sched.headroom_histogram("bmhive")
-        assert sum(histogram.values()) == 2
-
     def test_verify_index_catches_corruption(self):
         sched = _fleet()
         sched.place(instance("ebm.e5.32ht"))
         sched._totals["boards_free"] += 1
         with pytest.raises(AssertionError):
             sched.verify_index()
+        # hive-0 still has 3 free boards: losing its heap entry hides
+        # it from first fit, whether or not its flag was cleared too.
+        sched = _fleet()
+        sched.place(instance("ebm.e5.32ht"))
+        assert heapq.heappop(sched._avail["bmhive"]) == 0
+        with pytest.raises(SchedulerIndexError):
+            sched.verify_index()
+        sched._in_heap[0] = False
+        with pytest.raises(SchedulerIndexError):
+            sched.verify_index()
+        sched = _fleet()
+        heapq.heappush(sched._avail["kvm"], 6)
+        with pytest.raises(SchedulerIndexError):
+            sched.verify_index()
+
+    def test_fragmented_kvm_pool_raises_and_keeps_index(self):
+        """Enough free HT in total, but no single server fits."""
+        sched = _fleet(n_bm=0, n_kvm=3)
+        vm = instance("ecs.e5.32ht")
+        placed = [sched.place(vm) for _ in range(6)]
+        assert [s.free_units() for s in sched.servers.values()] == [24] * 3
+        assert sched.capacity_summary()["ht_free"] >= vm.hyperthreads
+        with pytest.raises(CapacityError):
+            sched.place(vm)
+        assert sched.verify_index()
+        assert sorted(sched._avail["kvm"]) == [0, 1, 2]
+        # The skipped entries were pushed back: freeing room on kvm-1
+        # makes it the first fit.
+        assert placed[2].server == "kvm-1"
+        sched.release(placed[2].instance_id)
+        assert sched.place(vm).server == "kvm-1"
+        assert sched.verify_index()
 
     def test_verify_index_raises_under_optimize(self):
         """``python -O`` strips bare asserts; the index check must not
         go silent with them."""
         script = textwrap.dedent("""
+            import heapq
+
             from repro.cloud import Scheduler, SchedulerIndexError, instance
 
             assert False, "asserts are live: not running under -O"
@@ -97,6 +124,14 @@ class TestAggregateIndex:
                 print("raised")
             else:
                 print("returned")
+            sched._totals["boards_free"] -= 1
+            heapq.heappop(sched._avail["bmhive"])
+            try:
+                sched.verify_index()
+            except SchedulerIndexError:
+                print("raised")
+            else:
+                print("returned")
             """)
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -104,7 +139,7 @@ class TestAggregateIndex:
                                 capture_output=True, text=True, env=env,
                                 timeout=120)
         assert result.returncode == 0, result.stderr[-2000:]
-        assert result.stdout.strip() == "raised"
+        assert result.stdout.split() == ["raised", "raised"]
 
 
 class TestBoardFastPath:
@@ -127,6 +162,23 @@ class TestBoardFastPath:
         assert sched.capacity_summary()["boards_free"] == 8
         assert sched.capacity_summary() == sched.recompute_summary()
         assert sched.verify_index()
+
+    def test_release_board_rejects_unplaced_index(self):
+        sched = _fleet(n_bm=2, n_kvm=1)
+        sched.place_board()
+        before = sched.capacity_summary()
+        # -1 would wrap to the kvm server, 1 is an idle bm server, 2 is
+        # the kvm server itself and 3 is past the end.
+        for index in (-1, 1, 2, 3):
+            with pytest.raises(KeyError):
+                sched.release_board(index)
+        assert sched.capacity_summary() == before
+        assert sched.healthy_headroom("bm") <= 1.0
+        assert sched.verify_index()
+        sched.release_board(0)
+        with pytest.raises(KeyError):
+            sched.release_board(0)
+        assert sched.capacity_summary()["boards_used"] == 0
 
     def test_place_board_skips_quarantined(self):
         sched = _fleet(n_bm=2, n_kvm=0)

@@ -73,7 +73,8 @@ class TestSchedulerInvariants:
         # Releasing everything restores an empty pool.
         for instance_id in live:
             scheduler.release(instance_id)
-        assert all(s.utilization() == 0.0 for s in scheduler.servers.values())
+        assert all(s.used_boards == 0 and s.used_hyperthreads == 0
+                   for s in scheduler.servers.values())
 
 
 class TestShadowVringProperties:
