@@ -14,10 +14,16 @@ profiles of the same build diff cleanly line-by-line even when nearby
 functions have near-identical times. ``--full`` profiles the full
 (non-quick) configuration — for region_scale that is the million-guest
 sweep, a ~10 s run and the one worth profiling.
+
+After the hotspots comes host time per layer: tottime summed over
+every function defined under ``repro.<package>``, with everything else
+(the standard library, builtins, the profiler itself) in one ``other``
+row, so the rows add up to the profile's total.
 """
 
 import argparse
 import cProfile
+import os
 import pstats
 import sys
 
@@ -37,6 +43,26 @@ def hotspot_rows(stats: pstats.Stats, top: int):
     return rows[:top]
 
 
+def package_rows(stats: pstats.Stats, root: str):
+    """tottime summed per ``repro.<package>``, largest first.
+
+    ``root`` is the ``repro`` package directory; a top-level module
+    counts as its own package, and code outside ``root`` as ``other``.
+    """
+    prefix = os.path.join(root, "")
+    totals = {}
+    for (filename, _lineno, _name), row in stats.stats.items():
+        package = "other"
+        if filename.startswith(prefix):
+            head = filename[len(prefix):].split(os.sep)[0]
+            package = "repro." + head.removesuffix(".py")
+        totals[package] = totals.get(package, 0.0) + row[2]
+    rows = [{"package": package, "tottime": tottime}
+            for package, tottime in totals.items()]
+    rows.sort(key=lambda row: (-row["tottime"], row["package"]))
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--experiment", default="region_scale",
@@ -54,6 +80,7 @@ def main(argv=None) -> int:
     if args.top < 1:
         parser.error("--top must be >= 1")
 
+    import repro
     from repro.experiments import ALL_EXPERIMENTS
 
     runner = ALL_EXPERIMENTS.get(args.experiment)
@@ -78,6 +105,10 @@ def main(argv=None) -> int:
     for row in hotspot_rows(stats, args.top):
         print(f"{row['tottime']:>9.4f} {row['cumtime']:>9.4f} "
               f"{row['ncalls']:>10}  {row['where']}")
+    print(f"\n{'tottime':>9} {'share':>6}  package")
+    for row in package_rows(stats, os.path.dirname(repro.__file__)):
+        print(f"{row['tottime']:>9.4f} {row['tottime'] / total:>6.1%}  "
+              f"{row['package']}")
     return 0
 
 

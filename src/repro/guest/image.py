@@ -23,6 +23,14 @@ BOOTLOADER_SECTORS = 8            # 4 KiB bootloader
 KERNEL_SECTOR = 2048              # kernel at the 1 MiB mark
 KERNEL_SECTORS = 16384            # 8 MiB kernel image
 
+_DIGESTS_PER_SECTOR = SECTOR_BYTES // 32  # 32-byte SHA-256 digests tile a sector
+
+
+def _synthetic_sector(prefix: bytes, index: int) -> bytes:
+    """Deterministic filler for sector ``index`` of the region ``prefix``."""
+    block = hashlib.sha256(prefix + index.to_bytes(8, "little")).digest()
+    return block * _DIGESTS_PER_SECTOR
+
 
 @dataclass
 class VmImage:
@@ -33,29 +41,28 @@ class VmImage:
     os_name: str = "CentOS 7"
     size_sectors: int = 4 * 1024 * 1024 * 2  # 4 GiB
     _sectors: Dict[int, bytes] = field(default_factory=dict, repr=False)
+    # ``seed + b"fs"``: every on-demand sector hashes this prefix, so it
+    # is built once rather than per read.
+    _fs_prefix: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seed = f"{self.name}:{self.kernel_version}".encode()
+        self._fs_prefix = seed + b"fs"
         for i in range(BOOTLOADER_SECTORS):
-            self._sectors[BOOTLOADER_SECTOR + i] = self._synthetic_sector(seed, "boot", i)
+            self._sectors[BOOTLOADER_SECTOR + i] = _synthetic_sector(seed + b"boot", i)
         # Store only the kernel's first and last sectors plus a digest;
         # intermediate sectors are generated on demand.
         for i in (0, KERNEL_SECTORS - 1):
-            self._sectors[KERNEL_SECTOR + i] = self._synthetic_sector(seed, "kernel", i)
-
-    @staticmethod
-    def _synthetic_sector(seed: bytes, region: str, index: int) -> bytes:
-        block = hashlib.sha256(seed + region.encode() + index.to_bytes(8, "little")).digest()
-        return (block * (SECTOR_BYTES // len(block) + 1))[:SECTOR_BYTES]
+            self._sectors[KERNEL_SECTOR + i] = _synthetic_sector(seed + b"kernel", i)
 
     def read_sector(self, sector: int) -> bytes:
         """Content of one 512-byte sector."""
         if not 0 <= sector < self.size_sectors:
             raise ValueError(f"sector {sector} outside image of {self.size_sectors}")
-        if sector in self._sectors:
-            return self._sectors[sector]
-        seed = f"{self.name}:{self.kernel_version}".encode()
-        return self._synthetic_sector(seed, "fs", sector)
+        stored = self._sectors.get(sector)
+        if stored is not None:
+            return stored
+        return _synthetic_sector(self._fs_prefix, sector)
 
     @property
     def bootloader_range(self) -> range:

@@ -17,15 +17,26 @@ would next have observed the work.
 Quantization
 ------------
 A busy-poll loop that goes idle at time ``t0`` wakes at ``t0+i``,
-``((t0+i)+i)``, ... where ``i`` is its poll interval — the grid is a
-chain of float additions, so the doorbell replays the same additions
-(never ``t0 + k*i``, which rounds differently) to land bit-identically
-on the tick the busy-poll model would have used. Work posted at time
-``w`` is picked up at the first grid tick strictly after ``w``: at an
-exact tie the polling thread is assumed to have checked just before
-the producer posted, the conservative reading of that race (and, for
-chains of short producer timeouts, the one the event heap's FIFO
-tie-break produces).
+``((t0+i)+i)``, ... where ``i`` is its poll interval: the grid is a
+chain of float additions, and ``t0 + k*i`` rounds differently. Work
+posted at time ``w`` is picked up at the first grid tick strictly after
+``w``: at an exact tie the polling thread is assumed to have checked
+just before the producer posted, the conservative reading of that race
+(and, for chains of short producer timeouts, the one the event heap's
+FIFO tie-break produces).
+
+The doorbell lands on that chain's ticks bit for bit without replaying
+it one addition per skipped tick (:func:`_grid_tick`). Inside one
+binade, where the ulp ``u`` of the tick is fixed, ``fl(t + i)`` is
+``t + d`` for one constant ``d``, the interval rounded to a multiple of
+``u``, unless ``i mod u`` is exactly ``u/2``. At such a tie, rounding
+goes to the even multiple of ``u``, so once the tick is an even
+multiple ``d`` is constant again. A run of ``k`` additions is therefore
+the exact product ``t + k*d``, and the cost is O(binades crossed), not
+O(ticks). The chained replay is kept as the test reference
+(``tests/sim/reference_grid.py``). An interval of at most half an ulp
+of the tick cannot advance the grid at all; the replay would spin
+forever, and the doorbell raises :class:`ValueError` instead.
 
 Idle-skip is always on in shipped runs. Busy polling stays as the
 reference the equivalence tests compare against: a test flips every
@@ -37,7 +48,8 @@ busy-poll spin instead of a parked event.
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Optional, Tuple
 
 from repro.sim.events import PENDING, TRIGGERED, Event
 
@@ -56,6 +68,46 @@ def set_idle_skip_default(enabled: bool) -> bool:
     global _IDLE_SKIP_DEFAULT
     old, _IDLE_SKIP_DEFAULT = _IDLE_SKIP_DEFAULT, bool(enabled)
     return old
+
+
+def _grid_tick(anchor: float, interval: float, bound: float,
+               strict: bool) -> Tuple[float, int]:
+    """First tick of the chain ``anchor+i, (anchor+i)+i, ...`` past ``bound``.
+
+    "Past" is ``> bound`` when ``strict``, else ``>= bound``. Returns
+    that tick and the number of additions after the first, i.e. the
+    earlier ticks skipped. Equal, bit for bit, to replaying the chain
+    (see the module docstring for why runs of ticks can be jumped).
+    """
+    tick = anchor + interval
+    skipped = 0
+    while tick <= bound if strict else tick < bound:
+        step = tick + interval
+        if step == tick:
+            raise ValueError(
+                f"poll interval {interval!r} cannot advance the poll grid "
+                f"anchored at {anchor!r}: it is at most half an ulp of "
+                f"the tick {tick!r}")
+        # A wait of a few ticks just steps; jumping pays off past that.
+        if tick > 0 and bound - tick > 4 * interval:
+            ulp = math.ulp(tick)
+            edge = math.ldexp(1.0, math.frexp(tick)[1])
+            if step < edge and (math.fmod(interval, ulp) != ulp / 2
+                                or (tick / ulp) % 2 == 0):
+                d = step - tick
+                # Stay two steps inside the binade (so every jumped
+                # addition is exact) and one step short of the bound.
+                # The binade caps k below 2**52, and the two roundings
+                # in the bound's quotient move it by less than one step
+                # there, so the last jumped-over tick stays before it.
+                k = int(min((edge - tick) / d - 2, (bound - tick) / d - 1))
+                if k > 1:
+                    tick += k * d
+                    skipped += k
+                    continue
+        tick = step
+        skipped += 1
+    return tick, skipped
 
 
 class Doorbell:
@@ -126,16 +178,9 @@ class Doorbell:
         if event is None or event._state is not PENDING:
             return
         self._parked = None
-        # Replay the busy-poll grid: t0+i, (t0+i)+i, ... until the first
-        # tick strictly after now. Repeated addition, not multiplication,
-        # so the wake time is bit-identical to the skipped spins.
-        interval = self.interval
-        now = sim._now
-        tick = self._anchor + interval
-        skipped = 0
-        while tick <= now:
-            tick += interval
-            skipped += 1
+        # The busy-poll grid's first tick strictly after now, bit for bit.
+        tick, skipped = _grid_tick(self._anchor, self.interval, sim._now,
+                                   strict=True)
         sim.stats.idle_polls_skipped += skipped
         event._ok = True
         event._value = None
@@ -149,14 +194,11 @@ class Doorbell:
         budgets) without losing bit-identity with busy polling: the
         busy-poll loop notices an expired deadline on the first grid
         tick whose time is ``>= deadline_s``, and this event fires at
-        exactly that tick, replayed with the same chained additions
-        from the current park anchor. ``park(deadline_s)`` pairs it
-        with the parked event.
+        exactly that tick of the chain from the current park anchor.
+        ``park(deadline_s)`` pairs it with the parked event.
         """
-        interval = self.interval
-        tick = self._anchor + interval
-        while tick < deadline_s:
-            tick += interval
+        tick, _ = _grid_tick(self._anchor, self.interval, deadline_s,
+                             strict=False)
         event = Event(self.sim)
         event._ok = True
         event._value = None

@@ -1,8 +1,12 @@
 """Unit tests for VM images and the EFI firmware (signing + boot)."""
 
+import hashlib
+
 import pytest
 
+from repro.experiments.common import DEFAULT_BOOT_IMAGE
 from repro.guest import EfiFirmware, FirmwareImage, SignatureError, VmImage
+from repro.guest.image import KERNEL_SECTOR, KERNEL_SECTORS
 from repro.sim import Simulator
 from repro.virtio.blk import SECTOR_BYTES
 
@@ -34,6 +38,22 @@ class TestVmImage:
     def test_bootloader_and_kernel_ranges_disjoint(self):
         image = VmImage("centos7")
         assert set(image.bootloader_range).isdisjoint(image.kernel_range)
+
+    def test_sector_bytes_golden(self):
+        """Pins the synthesized bytes: boot sectors, the two stored
+        kernel sectors and 64 on-demand filesystem sectors."""
+        image = VmImage(DEFAULT_BOOT_IMAGE)
+        fs_start = KERNEL_SECTOR + KERNEL_SECTORS
+        sectors = (list(image.bootloader_range)
+                   + [KERNEL_SECTOR, KERNEL_SECTOR + KERNEL_SECTORS - 1]
+                   + [fs_start + 131_071 * k for k in range(64)])
+        digest = hashlib.sha256()
+        for sector in sectors:
+            data = image.read_sector(sector)
+            assert len(data) == SECTOR_BYTES
+            digest.update(data)
+        assert digest.hexdigest() == (
+            "30b4a146f59ecc29c88729c79ff231ae65ade64593b19d00b6b36be1903ccf78")
 
 
 class TestFirmwareSigning:

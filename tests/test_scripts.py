@@ -1,9 +1,14 @@
 """Smoke tests for the repository scripts and the CLI module entry."""
 
 import json
+import math
+import os
 import pathlib
+import pstats
 import subprocess
 import sys
+
+import repro
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -150,3 +155,20 @@ def test_reachability_traces_one_entry(load_script):
     assert rows
     for _file, total, unreached in rows:
         assert 0 <= unreached <= total
+
+
+def test_profile_hotspots_package_rows_sum_to_total(tmp_path, capsys,
+                                                    load_script):
+    profile = load_script("profile_hotspots")
+    dump = tmp_path / "mq_ablation.prof"
+    assert profile.main(["--experiment", "mq_ablation", "--top", "1",
+                         "--dump", str(dump)]) == 0
+    stats = pstats.Stats(str(dump))
+    total = sum(row[2] for row in stats.stats.values())
+    rows = profile.package_rows(stats, os.path.dirname(repro.__file__))
+    assert math.isclose(sum(row["tottime"] for row in rows), total,
+                        rel_tol=1e-9)
+    packages = [row["package"] for row in rows]
+    assert len(packages) == len(set(packages))
+    assert {"repro.sim", "repro.virtio", "other"} <= set(packages)
+    assert "repro.virtio" in capsys.readouterr().out
