@@ -28,8 +28,9 @@ from repro.hw.board import Chassis, ChassisSpec, ComputeBoard
 from repro.hypervisor.bm import BmHypervisor
 from repro.hypervisor.kvm import HostScheduler, KvmModel
 from repro.iobond.bond import IoBond, IoBondSpec
-from repro.sim.doorbell import Doorbell
-from repro.virtio.blk import SECTOR_BYTES, VIRTIO_BLK_S_OK, BlkRequestHeader, VirtioBlkDevice
+from repro.virtio.blk import (SECTOR_BYTES, VIRTIO_BLK_S_OK, VIRTIO_BLK_S_UNSUPP,
+                              VIRTIO_BLK_T_IN, BlkQueueDriver, BlkRequestHeader,
+                              VirtioBlkDevice)
 from repro.virtio.device import full_init
 from repro.virtio.multiqueue import MultiQueueNetDevice
 from repro.virtio.net import VirtioNetDevice
@@ -39,7 +40,7 @@ from repro.virtio.net import VirtioNetDevice
 #: real EFI virtio-blk drivers do.
 BOOT_QUEUE = 0
 
-__all__ = ["BmHiveServer", "VirtServer"]
+__all__ = ["BmHiveServer", "VirtServer", "blk_handler"]
 
 
 def _unique_mac(name: str) -> str:
@@ -48,6 +49,43 @@ def _unique_mac(name: str) -> str:
 
     digest = hashlib.sha256(name.encode()).digest()
     return "52:54:00:" + ":".join(f"{b:02x}" for b in digest[:3])
+
+
+def blk_handler(storage: SpdkStorage, guest: BmGuest, queue_index: int,
+                image: Optional[VmImage] = None):
+    """The bm-hypervisor's backend handler for one virtio-blk queue.
+
+    A read becomes an SPDK submit through the guest's rate limiters,
+    the payload (``image``'s sectors, or zeros with no image), the
+    completion write-back and IO-Bond's DMA + MSI delivery, all on
+    ``queue_index``. The image is read-only: any other request
+    completes ``VIRTIO_BLK_S_UNSUPP`` without touching storage.
+    """
+    bond = guest.bond
+    port = bond.port("blk")
+
+    def handle_blk(entry):
+        header = BlkRequestHeader.unpack(entry.payload)
+        nbytes = max(0, entry.writable_bytes - 1)
+
+        def service():
+            if header.type == VIRTIO_BLK_T_IN:
+                yield from storage.submit(guest.limiters,
+                                          max(nbytes, SECTOR_BYTES),
+                                          is_read=True,
+                                          queue_index=queue_index)
+                data = (bytes(nbytes) if image is None
+                        else image.read(header.sector, nbytes))
+                response = data + bytes([VIRTIO_BLK_S_OK])
+            else:
+                response = bytes([VIRTIO_BLK_S_UNSUPP])
+            port.shadows[queue_index].backend_complete(entry.guest_head,
+                                                       response)
+            yield from bond.deliver_completions(port, queue_index)
+
+        return service()
+
+    return handle_blk
 
 
 class BmHiveServer:
@@ -157,38 +195,9 @@ class BmHiveServer:
     # -- full-fidelity boot (used by examples and integration tests) -------
     def make_blk_handler(self, guest: BmGuest, image: VmImage,
                          queue_index: int = 0):
-        """Backend handler for one of ``guest``'s virtio-blk queues.
-
-        Each shadow-vring entry becomes a storage read serviced against
-        ``image``: SPDK submit through the guest's rate limiters, sector
-        payload assembly, completion write-back, and the IO-Bond DMA +
-        MSI delivery. ``queue_index`` threads through to the shadow
-        vring, the SPDK worker shard, and the completion delivery, so an
-        N-queue device gets N independent handlers.
-        """
-        bond = guest.bond
-        port = bond.port("blk")
-
-        def handle_blk(entry):
-            header = BlkRequestHeader.unpack(entry.payload)
-            nbytes = max(0, entry.writable_bytes - 1)
-
-            def service():
-                yield from self.storage.submit(guest.limiters, max(nbytes, SECTOR_BYTES),
-                                               is_read=True,
-                                               queue_index=queue_index)
-                data = b"".join(
-                    image.read_sector(header.sector + i)
-                    for i in range(nbytes // SECTOR_BYTES)
-                )
-                port.shadows[queue_index].backend_complete(
-                    entry.guest_head, data + bytes([VIRTIO_BLK_S_OK])
-                )
-                yield from bond.deliver_completions(port, queue_index)
-
-            return service()
-
-        return handle_blk
+        """:func:`blk_handler` for one of ``guest``'s queues, served
+        from this server's storage against ``image``."""
+        return blk_handler(self.storage, guest, queue_index, image)
 
     def boot_guest(self, guest: BmGuest, image: VmImage):
         """Process: boot ``guest`` from ``image`` through the real rings.
@@ -199,8 +208,6 @@ class BmHiveServer:
         cloud storage, and completions DMA back with an MSI.
         """
         blk = guest.blk_device
-        bond = guest.bond
-        port = bond.port("blk")
         hypervisor = guest.hypervisor
         full_init(blk)
 
@@ -210,30 +217,11 @@ class BmHiveServer:
         hypervisor.mark_booting()
         hypervisor.start()
 
-        # The firmware's used-ring poll (10 µs cadence) parks on its own
-        # doorbell; IO-Bond writing back completions rings it. Firmware
-        # only ever drives BOOT_QUEUE, even on an N-queue device.
-        used_bell = Doorbell(self.sim, self.profile.poll.firmware_used_poll_s)
-        boot_vq = blk.queue(BOOT_QUEUE)
-        boot_vq.on_used = used_bell.ring
-
-        def io_roundtrip(sector, n_sectors):
-            head = blk.driver_read(sector, n_sectors * SECTOR_BYTES,
-                                   queue_index=BOOT_QUEUE)
-            chain = boot_vq.resolve_chain(head)
-            yield from bond.guest_pci_access(port, "queue_notify", BOOT_QUEUE)
-            # The firmware polls the used ring (no interrupts in EFI).
-            while True:
-                used = boot_vq.get_used()
-                if used is not None:
-                    break
-                yield used_bell.park()
-            addr, length = chain.writable[0]
-            return blk.memory.read(addr, length)
-
-        record = yield from guest.firmware.boot(blk, image, io_roundtrip)
-        used_bell.cancel()
-        boot_vq.on_used = None
+        driver = BlkQueueDriver(self.sim, blk,
+                                self.profile.poll.firmware_used_poll_s,
+                                BOOT_QUEUE, bond=guest.bond)
+        record = yield from guest.firmware.boot(driver, image)
+        driver.close()
         hypervisor.mark_running()
         guest.image = image
         return record

@@ -7,6 +7,12 @@ guest driver and the backend operate on the *same* ring in shared
 memory — no IO-Bond, no shadow vrings, no DMA engine. Cold migration
 tests use it to boot the same image on both substrates through real
 descriptor chains.
+
+"One image, two substrates" holds in code: both boots run the same
+firmware over the same :class:`~repro.virtio.blk.BlkQueueDriver`, and
+both backends build a read's payload with :meth:`VmImage.read`. Only
+what backs the queue differs: IO-Bond's shadow vring on bm, the shared
+vring here.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ from repro.config.profile import HardwareProfile
 from repro.guest.image import VmImage
 from repro.sim.doorbell import Doorbell
 from repro.virtio.blk import (
-    SECTOR_BYTES,
     VIRTIO_BLK_S_OK,
+    VIRTIO_BLK_S_UNSUPP,
     VIRTIO_BLK_T_IN,
-    BlkRequestHeader,
+    BlkQueueDriver,
     VirtioBlkDevice,
 )
 from repro.virtio.device import full_init
@@ -49,22 +55,11 @@ class VmBlkService:
     """
 
     def __init__(self, sim, guest, image: VmImage,
-                 service_latency_s: Optional[float] = None,
-                 poll_interval_s: Optional[float] = None,
                  profile: Optional[HardwareProfile] = None):
         self.sim = sim
         self.guest = guest
         self.image = image
         self.profile = profile or HardwareProfile.paper()
-        poll = self.profile.poll
-        self.service_latency_s = (
-            service_latency_s if service_latency_s is not None
-            else poll.vhost_blk_service_s
-        )
-        self.poll_interval_s = (
-            poll_interval_s if poll_interval_s is not None
-            else poll.vhost_blk_poll_s
-        )
         self.device = VirtioBlkDevice(
             queue_size=self.profile.guest.virtio_queue_size
         )
@@ -78,7 +73,7 @@ class VmBlkService:
         self.bytes_returned = 0
         # Idle-skip doorbell: the guest ringing the avail ring wakes a
         # parked backend instead of the backend spinning to notice it.
-        self.doorbell = Doorbell(sim, self.poll_interval_s)
+        self.doorbell = Doorbell(sim, self.profile.poll.vhost_blk_poll_s)
         self._running = None
 
     def start(self) -> None:
@@ -107,17 +102,16 @@ class VmBlkService:
                         break
                     busy = True
                     chain, header, _payload = fetched
-                    yield self.sim.timeout(self.service_latency_s)
+                    yield self.sim.timeout(self.profile.poll.vhost_blk_service_s)
                     if header.type == VIRTIO_BLK_T_IN:
-                        nbytes = chain.writable_bytes - 1
-                        data = b"".join(
-                            self.image.read_sector(header.sector + i)
-                            for i in range(nbytes // SECTOR_BYTES)
-                        )
+                        data = self.image.read(header.sector,
+                                               chain.writable_bytes - 1)
                         self.device.device_complete(chain, data, VIRTIO_BLK_S_OK)
                         self.bytes_returned += len(data)
                     else:
-                        self.device.device_complete(chain, b"", VIRTIO_BLK_S_OK)
+                        # The image is read-only, as on the bm path.
+                        self.device.device_complete(chain, b"",
+                                                    VIRTIO_BLK_S_UNSUPP)
                     self.requests_served += 1
                 if not busy:
                     yield self.doorbell.park()
@@ -129,8 +123,9 @@ def vm_boot_via_rings(sim, guest, image: VmImage,
                       profile: Optional[HardwareProfile] = None):
     """Process: boot a vm-guest through real shared-memory rings.
 
-    Returns ``(BootRecord, BootStats)``. The same firmware logic used
-    on the bm side drives this — one image, two substrates.
+    Returns ``(BootRecord, BootStats)``. The firmware and the blk
+    driver are the ones :meth:`BmHiveServer.boot_guest` runs over
+    IO-Bond — one image, two substrates.
     """
     from repro.guest.firmware import EfiFirmware
 
@@ -138,29 +133,10 @@ def vm_boot_via_rings(sim, guest, image: VmImage,
     service = VmBlkService(sim, guest, image, profile=profile)
     service.start()
     device = service.device
-    firmware = EfiFirmware(sim)
-    # The firmware's used-ring poll (10 µs cadence) parks on its own
-    # doorbell; the backend pushing a used element rings it.
-    used_bell = Doorbell(sim, profile.poll.firmware_used_poll_s)
-    device.vq.on_used = used_bell.ring
-
-    def io_roundtrip(sector, n_sectors):
-        head = device.driver_read(sector, n_sectors * SECTOR_BYTES)
-        chain = device.vq.resolve_chain(head)
-        # No kick needed: the PMD backend polls the shared ring.
-        device.vq.needs_kick()
-        while True:
-            used = device.vq.get_used()
-            if used is not None:
-                break
-            yield used_bell.park()
-        addr, length = chain.writable[0]
-        return device.memory.read(addr, length)
-
-    record = yield from firmware.boot(device, image, io_roundtrip)
+    driver = BlkQueueDriver(sim, device, profile.poll.firmware_used_poll_s)
+    record = yield from EfiFirmware(sim).boot(driver, image)
     service.stop()
-    used_bell.cancel()
-    device.vq.on_used = None
+    driver.close()
     stats = BootStats(
         requests_served=service.requests_served,
         bytes_returned=service.bytes_returned,

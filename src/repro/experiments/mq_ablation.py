@@ -30,18 +30,16 @@ from typing import Dict
 
 from repro.backend.limits import RateLimits
 from repro.config.profile import HardwareProfile, QueueSpec
-from repro.core.server import BmHiveServer
+from repro.core.server import BmHiveServer, blk_handler
 from repro.experiments.base import ExperimentResult, check
 from repro.sim import Simulator
-from repro.sim.doorbell import Doorbell
-from repro.virtio.blk import SECTOR_BYTES, VIRTIO_BLK_S_OK
+from repro.virtio.blk import SECTOR_BYTES, BlkQueueDriver
 from repro.virtio.device import full_init
 
 EXPERIMENT_ID = "mq_ablation"
 TITLE = "Multi-queue I/O ablation: mediated loop vs queue passthrough"
 
 READ_BYTES = 4096
-DRIVER_POLL_S = 10e-6  # guest-side used-ring poll cadence (blk-mq timer tick)
 
 
 def _mq_iops(seed: int, profile_name: str, passthrough: bool,
@@ -56,29 +54,13 @@ def _mq_iops(seed: int, profile_name: str, passthrough: bool,
     guest = hive.launch_guest(name=f"mq-{profile_name}-guest",
                               limits=RateLimits.unrestricted())
     blk = guest.blk_device
-    bond = guest.bond
-    port = bond.port("blk")
+    port = guest.bond.port("blk")
     hypervisor = guest.hypervisor
     full_init(blk)
 
-    def make_handler(queue_index: int):
-        def handle(entry):
-            nbytes = max(0, entry.writable_bytes - 1)
-
-            def service():
-                yield from hive.storage.submit(
-                    guest.limiters, max(nbytes, SECTOR_BYTES), is_read=True,
-                    queue_index=queue_index)
-                port.shadows[queue_index].backend_complete(
-                    entry.guest_head, bytes(nbytes) + bytes([VIRTIO_BLK_S_OK]))
-                yield from bond.deliver_completions(port, queue_index)
-
-            return service()
-
-        return handle
-
     for qi in range(n_queues):
-        hypervisor.register_handler("blk", qi, make_handler(qi))
+        hypervisor.register_handler("blk", qi,
+                                    blk_handler(hive.storage, guest, qi))
     hypervisor.mark_booting()
     hypervisor.start()
     hypervisor.mark_running()
@@ -87,24 +69,18 @@ def _mq_iops(seed: int, profile_name: str, passthrough: bool,
 
     def driver(queue_index: int):
         """Guest-side load: post the whole batch, one kick, drain used."""
-        vq = blk.queue(queue_index)
-        bell = Doorbell(sim, DRIVER_POLL_S)
-        vq.on_used = bell.ring
+        queue = BlkQueueDriver(sim, blk, profile.poll.firmware_used_poll_s,
+                               queue_index, bond=guest.bond)
         try:
             for request in range(per_queue):
                 sector = ((queue_index * per_queue + request) * n_sectors
                           % (blk.capacity_sectors - n_sectors))
-                blk.driver_read(sector, READ_BYTES, queue_index=queue_index)
-            yield from bond.guest_pci_access(port, "queue_notify", queue_index)
-            completed = 0
-            while completed < per_queue:
-                if vq.get_used() is not None:
-                    completed += 1
-                    continue
-                yield bell.park()
+                queue.submit(sector, READ_BYTES)
+            yield from queue.kick()
+            for _ in range(per_queue):
+                yield from queue.wait()
         finally:
-            bell.cancel()
-            vq.on_used = None
+            queue.close()
 
     drivers = [sim.spawn(driver(qi), name=f"mq.driver.q{qi}")
                for qi in range(n_queues)]

@@ -15,17 +15,20 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.config.profile import PollSpec
+from repro.core.server import blk_handler
 from repro.hypervisor.bm import GuestState
-from repro.sim.doorbell import Doorbell
-from repro.virtio.blk import SECTOR_BYTES, VIRTIO_BLK_S_OK
+from repro.virtio.blk import SECTOR_BYTES, BlkQueueDriver
 from repro.virtio.device import full_init
 from repro.virtio.reliability import RetryExhausted, RetryPolicy
 
 __all__ = ["RingBlkLoad"]
 
+READ_BYTES = 4096
+
 
 class RingBlkLoad:
-    """Closed-loop virtio-blk reads through the full ring datapath.
+    """Closed-loop 4 KiB virtio-blk reads through the full ring datapath.
 
     ``records`` is a list of ``(index, issued_at, completed_at,
     attempts)`` tuples — exact floats, suitable for ``==`` comparison
@@ -34,9 +37,8 @@ class RingBlkLoad:
 
     def __init__(self, sim, guest, storage, n_requests: int = 64,
                  period_s: float = 400e-6, offset_s: float = 0.0,
-                 read_bytes: int = 4096,
                  policy: Optional[RetryPolicy] = None,
-                 poll_s: float = 10e-6, queue_index: int = 0):
+                 queue_index: int = 0):
         if n_requests <= 0:
             raise ValueError(f"need at least one request, got {n_requests}")
         if period_s <= 0:
@@ -50,9 +52,7 @@ class RingBlkLoad:
         self.n_requests = n_requests
         self.period_s = period_s
         self.offset_s = offset_s
-        self.read_bytes = read_bytes
         self.policy = policy or RetryPolicy()
-        self.poll_s = poll_s
         self.tracker = None
         self.records: List[Tuple[int, float, float, int]] = []
         self.retries = 0
@@ -76,31 +76,15 @@ class RingBlkLoad:
                 f"queue {self.queue_index} out of range for "
                 f"{blk.n_queues}-queue device")
         hv = self.guest.hypervisor
-        hv.register_handler("blk", self.queue_index, self._handle_blk)
+        hv.register_handler("blk", self.queue_index,
+                            blk_handler(self.storage, self.guest,
+                                        self.queue_index))
         if hv.state is GuestState.POWERED_ON:
             hv.mark_booting()
         if not hv.is_polling:
             hv.start()
         if hv.state is GuestState.BOOTING:
             hv.mark_running()
-
-    def _handle_blk(self, entry):
-        bond = self.guest.bond
-        port = bond.port("blk")
-        queue_index = self.queue_index
-        nbytes = max(0, entry.writable_bytes - 1)
-
-        def service():
-            yield from self.storage.submit(
-                self.guest.limiters, max(nbytes, SECTOR_BYTES), is_read=True,
-                queue_index=queue_index,
-            )
-            port.shadows[queue_index].backend_complete(
-                entry.guest_head, bytes(nbytes) + bytes([VIRTIO_BLK_S_OK])
-            )
-            yield from bond.deliver_completions(port, queue_index)
-
-        return service()
 
     # -- the guest-side loop -------------------------------------------
     def run(self):
@@ -109,61 +93,50 @@ class RingBlkLoad:
         blk = self.guest.blk_device
         self.tracker = blk.request_tracker(sim, self.policy,
                                            queue_index=self.queue_index)
-        bell = Doorbell(sim, self.poll_s)
-        vq = blk.queue(self.queue_index)
-        vq.on_used = bell.ring
+        driver = BlkQueueDriver(sim, blk, PollSpec.firmware_used_poll_s,
+                                self.queue_index, bond=self.guest.bond)
         try:
             issue_at = self.offset_s
             for index in range(self.n_requests):
                 if issue_at > sim.now:
                     yield sim.timeout(issue_at - sim.now)
-                yield from self._one_request(index, bell)
+                yield from self._one_request(index, driver)
                 issue_at += self.period_s
         finally:
-            bell.cancel()
-            if vq.on_used == bell.ring:
-                vq.on_used = None
+            driver.close()
         self.done = True
         return tuple(self.records)
 
-    def _one_request(self, index: int, bell: Doorbell):
+    def _one_request(self, index: int, driver: BlkQueueDriver):
         sim = self.sim
-        blk = self.guest.blk_device
-        bond = self.guest.bond
-        port = bond.port("blk")
-        n_sectors = self.read_bytes // SECTOR_BYTES
-        sector = (index * n_sectors) % (blk.capacity_sectors - n_sectors)
-        head = blk.driver_read(sector, self.read_bytes,
-                               queue_index=self.queue_index)
-        self.tracker.post(head)
+        tracker = self.tracker
+        n_sectors = READ_BYTES // SECTOR_BYTES
+        sector = (index * n_sectors) % (driver.device.capacity_sectors
+                                        - n_sectors)
+        head = driver.submit(sector, READ_BYTES)
+        tracker.post(head)
         issued = sim.now
-        yield from bond.guest_pci_access(port, "queue_notify", self.queue_index)
+        yield from driver.kick()
         while True:
-            used = blk.queue(self.queue_index).get_used()
-            if used is not None:
-                used_head, _ = used
-                if used_head != head:
-                    # A latent completion for an abandoned request; the
-                    # shadow vring already deduplicated live replays.
-                    self.duplicate_completions += 1
-                    continue
-                attempts = self.tracker.attempts(head)
-                self.tracker.complete(head)
-                self.records.append((index, issued, sim.now, attempts))
-                return
-            deadline = self.tracker.next_deadline()
-            if sim.now >= deadline:
+            used = yield from driver.wait(tracker.next_deadline())
+            if used is None:
                 try:
-                    self.tracker.recover(head)
+                    tracker.recover(head)
                 except RetryExhausted:
-                    self.tracker.complete(head)
+                    tracker.complete(head)
                     self.failures.append(index)
                     return
                 self.retries += 1
                 # Both recovery outcomes need a kick: a reposted chain
                 # is invisible until IO-Bond re-syncs the avail ring.
-                yield from bond.guest_pci_access(port, "queue_notify",
-                                                 self.queue_index)
+                yield from driver.kick()
                 continue
-            yield bell.park(deadline)
-            bell.cancel()
+            if used[0] != head:
+                # A latent completion for an abandoned request; the
+                # shadow vring already deduplicated live replays.
+                self.duplicate_completions += 1
+                continue
+            attempts = tracker.attempts(head)
+            tracker.complete(head)
+            self.records.append((index, issued, sim.now, attempts))
+            return

@@ -17,10 +17,10 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.guest.image import VmImage
-from repro.virtio.blk import SECTOR_BYTES, VIRTIO_BLK_S_OK, VirtioBlkDevice
+from repro.virtio.blk import SECTOR_BYTES, BlkQueueDriver
 
 __all__ = ["FirmwareImage", "SignatureError", "EfiFirmware", "BootRecord"]
 
@@ -89,13 +89,12 @@ class EfiFirmware:
         self.updates_applied += 1
 
     # -- virtio boot path ----------------------------------------------------------
-    def boot(self, blk: VirtioBlkDevice, image: VmImage, io_roundtrip):
+    def boot(self, driver: BlkQueueDriver, image: VmImage):
         """Process: boot the guest from cloud storage over virtio-blk.
 
-        ``io_roundtrip(sector, n_sectors)`` is a process supplied by the
-        datapath layer that performs one read through the full stack
-        (firmware has no interrupts; it polls the used ring). Returns a
-        :class:`BootRecord`.
+        ``driver`` drives the boot request queue on whichever substrate
+        backs it. Firmware has no interrupts: each read is submit, kick,
+        then a poll of the used ring. Returns a :class:`BootRecord`.
         """
         start = self.sim.now
         stages = ["power_on", "efi_init"]
@@ -104,7 +103,7 @@ class EfiFirmware:
 
         bootloader_bytes = 0
         for sector in image.bootloader_range:
-            data = yield from io_roundtrip(sector, 1)
+            data = yield from self._read(driver, sector, 1)
             expected = image.read_sector(sector)
             if data[: len(expected)] != expected:
                 raise IOError(f"bootloader sector {sector} corrupt")
@@ -117,7 +116,7 @@ class EfiFirmware:
         chunk = 64
         for base in range(kernel.start, kernel.stop, chunk):
             n = min(chunk, kernel.stop - base)
-            yield from io_roundtrip(base, n)
+            yield from self._read(driver, base, n)
             kernel_bytes += n * SECTOR_BYTES
         stages.append("kernel_loaded")
         yield self.sim.timeout(10e-3)  # decompress + handoff
@@ -131,3 +130,16 @@ class EfiFirmware:
             boot_time_s=self.sim.now - start,
             stages=stages,
         )
+
+    @staticmethod
+    def _read(driver: BlkQueueDriver, sector: int, n_sectors: int):
+        """Process: one blocking read; returns the data buffer.
+
+        The firmware keeps one request in flight, so the next used
+        entry is this one.
+        """
+        head = driver.submit(sector, n_sectors * SECTOR_BYTES)
+        addr, length = driver.vq.resolve_chain(head).writable[0]
+        yield from driver.kick()
+        yield from driver.wait()
+        return driver.vq.memory.read(addr, length)

@@ -64,6 +64,11 @@ class VmImage:
             return stored
         return _synthetic_sector(self._fs_prefix, sector)
 
+    def read(self, sector: int, nbytes: int) -> bytes:
+        """Content of the whole sectors in ``nbytes`` from ``sector`` on."""
+        return b"".join(self.read_sector(sector + i)
+                        for i in range(nbytes // SECTOR_BYTES))
+
     @property
     def bootloader_range(self) -> range:
         return range(BOOTLOADER_SECTOR, BOOTLOADER_SECTOR + BOOTLOADER_SECTORS)

@@ -119,11 +119,6 @@ class ShadowVring:
         self._consumed.pop(guest_head, None)
         self._completions.append((guest_head, payload))
 
-    @property
-    def inflight(self) -> int:
-        """Entries consumed by the backend but not yet completed."""
-        return len(self._consumed)
-
     def replay_consumed(self) -> int:
         """Republish entries whose service died with the bm-hypervisor.
 

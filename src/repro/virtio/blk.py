@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Optional
 
+from repro.sim.doorbell import Doorbell
 from repro.virtio.device import Feature, VIRTIO_ID_BLOCK, VirtioDevice, feature_mask
 from repro.virtio.steering import blk_queue_for_request
 
 __all__ = [
     "VirtioBlkDevice",
+    "BlkQueueDriver",
+    "BlkIoError",
     "VIRTIO_BLK_F_MQ",
     "BlkRequestHeader",
     "SECTOR_BYTES",
@@ -160,7 +164,7 @@ class VirtioBlkDevice(VirtioDevice):
 
     # -- device-side helpers -----------------------------------------------------
     def device_fetch_request(self, queue_index: int = 0):
-        """Pop one request: returns (head, header, data, status_capacity).
+        """Pop one request: returns ``(chain, header, data)`` or None.
 
         ``data`` is the write payload for OUT requests and ``b""`` for
         IN/FLUSH. The final writable byte of the chain is the status.
@@ -181,3 +185,74 @@ class VirtioBlkDevice(VirtioDevice):
         response = payload + bytes([status])
         vq.write_chain(chain, response)
         vq.push_used(chain.head, len(response))
+
+
+class BlkIoError(IOError):
+    """A request completed with a status other than ``VIRTIO_BLK_S_OK``."""
+
+    def __init__(self, head: int, status: int):
+        super().__init__(f"request {head} completed with status {status}")
+        self.head, self.status = head, status
+
+
+class BlkQueueDriver:
+    """The guest's driver for one request queue, on either substrate.
+
+    Only what backs the queue differs. With ``bond`` (a bm-guest) a kick
+    is a ``queue_notify`` forwarded through IO-Bond to the shadow vring;
+    without (a vm-guest's shared vring) the PMD backend polls the ring,
+    so a kick is EVENT_IDX bookkeeping only. The driver owns the used
+    ring's poll: a :class:`Doorbell` on the ``poll_s`` cadence that the
+    device rings on every used push, unhooked by :meth:`close`.
+    """
+
+    def __init__(self, sim, device: VirtioBlkDevice, poll_s: float,
+                 queue_index: int = 0, bond=None):
+        self.sim = sim
+        self.device = device
+        self.queue_index = queue_index
+        self.vq = device.queue(queue_index)
+        self._bond = bond
+        self._port = None if bond is None else bond.port("blk")
+        self.bell = Doorbell(sim, poll_s)
+        self.vq.on_used = self.bell.ring
+
+    def submit(self, sector: int, nbytes: int) -> int:
+        """Post a read of ``nbytes`` at ``sector``; returns the chain head."""
+        return self.device.driver_read(sector, nbytes, self.queue_index)
+
+    def kick(self):
+        """Process: tell the device the avail ring has new requests."""
+        if self._bond is None:
+            self.vq.needs_kick()
+            return
+        yield from self._bond.guest_pci_access(self._port, "queue_notify",
+                                               self.queue_index)
+
+    def wait(self, deadline: Optional[float] = None):
+        """Process: reap the next used ``(head, written)``.
+
+        Returns None instead at the first poll-grid tick at or after
+        ``deadline`` if nothing completed. Callers match heads
+        themselves. A non-OK status byte raises :class:`BlkIoError`.
+        """
+        vq, bell = self.vq, self.bell
+        while True:
+            used = vq.peek_used()
+            if used is not None:
+                status_addr, _ = vq.resolve_chain(used[0]).writable[-1]
+                status = vq.memory.read(status_addr, 1)[0]
+                vq.get_used()
+                if status != VIRTIO_BLK_S_OK:
+                    raise BlkIoError(used[0], status)
+                return used
+            if deadline is not None and self.sim.now >= deadline:
+                return None
+            yield bell.park(deadline)
+            bell.cancel()
+
+    def close(self) -> None:
+        """Forget a parked wait and unhook the used ring."""
+        self.bell.cancel()
+        if self.vq.on_used == self.bell.ring:
+            self.vq.on_used = None

@@ -9,8 +9,8 @@ on expiry the request is either re-kicked (the device never consumed
 it) or replayed (consumed but never completed).
 
 :class:`InflightTable` is that timer for any :class:`~repro.virtio.
-vring.VirtQueue`. It tracks issue times per in-flight head, reports
-which requests are overdue, and performs the recovery action. Replays
+vring.VirtQueue`. It tracks issue times per in-flight head, gives the
+earliest deadline to wait on, and performs the recovery action. Replays
 can race a latent original completion; the device side deduplicates at
 the used-ring boundary (``ShadowVring.flush_to_guest``), so delivery
 stays exactly-once even when both complete.
@@ -102,12 +102,6 @@ class InflightTable:
         if not self._inflight:
             return float("inf")
         return min(entry.deadline for entry in self._inflight.values())
-
-    def overdue(self, now: float) -> List[int]:
-        """Heads whose deadline has passed, oldest issue first."""
-        late = [e for e in self._inflight.values() if now >= e.deadline]
-        late.sort(key=lambda e: e.issued_at)
-        return [e.head for e in late]
 
     def recover(self, head: int) -> str:
         """Time out ``head``: re-kick or replay, with a fresh deadline.

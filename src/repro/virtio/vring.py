@@ -15,7 +15,7 @@ IO-Bond's DMA engine keeps the two synchronized (Fig 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.virtio.memory import GuestMemory
@@ -66,10 +66,6 @@ class DescriptorChain:
     writable: List[Tuple[int, int]]  # (addr, len) device-writable segments
 
     @property
-    def readable_bytes(self) -> int:
-        return sum(length for _, length in self.readable)
-
-    @property
     def writable_bytes(self) -> int:
         return sum(length for _, length in self.writable)
 
@@ -77,9 +73,9 @@ class DescriptorChain:
 class VirtQueue:
     """A split virtqueue of ``size`` descriptors.
 
-    Driver-side API: :meth:`add_buffer`, :meth:`get_used`,
-    :meth:`needs_kick`. Device-side API: :meth:`pop_avail`,
-    :meth:`push_used`, :meth:`needs_interrupt`.
+    Driver-side API: :meth:`add_buffer`, :meth:`peek_used`,
+    :meth:`get_used`, :meth:`needs_kick`. Device-side API:
+    :meth:`pop_avail`, :meth:`push_used`, :meth:`needs_interrupt`.
     """
 
     def __init__(self, size: int = 256, memory: Optional[GuestMemory] = None,
@@ -228,6 +224,12 @@ class VirtQueue:
             return True
         self.kicks_suppressed += 1
         return False
+
+    def peek_used(self) -> Optional[Tuple[int, int]]:
+        """Driver: the next used element without reaping it, or None."""
+        if self._last_used >= self.used_idx:
+            return None
+        return self.used_ring[self._last_used]
 
     def get_used(self) -> Optional[Tuple[int, int]]:
         """Driver: reap one used element ``(head, written_len)`` or None."""

@@ -79,3 +79,31 @@ class TestVirtServer:
         kvm = VirtServer(sim, fabric=hive.fabric)
         assert "bmhive-0" in hive.fabric.nics
         assert "kvm-0" in hive.fabric.nics
+
+
+class TestBlkHandler:
+    def test_write_completes_unsupported_and_skips_storage(self):
+        """The image is read-only: a write is not served as a read."""
+        from repro.experiments.common import TestbedBuilder, boot_testbed
+        from repro.virtio.blk import (VIRTIO_BLK_S_UNSUPP, BlkIoError,
+                                      BlkQueueDriver)
+
+        bed = boot_testbed(TestbedBuilder().seed(1).build())
+        guest = bed.bm
+        blk = guest.blk_device
+        storage = bed.hive.storage
+        submitted = list(storage.worker_submitted)
+        driver = BlkQueueDriver(bed.sim, blk, 10e-6, bond=guest.bond)
+        head = blk.driver_write(0, b"x" * 4096)
+
+        def write():
+            yield from driver.kick()
+            yield from driver.wait()
+
+        with pytest.raises(BlkIoError) as excinfo:
+            bed.sim.run_process(write())
+        assert (excinfo.value.head, excinfo.value.status) == (
+            head, VIRTIO_BLK_S_UNSUPP)
+        assert storage.worker_submitted == submitted
+        assert blk.vq.peek_used() is None  # reaped, not left behind
+        driver.close()

@@ -1,4 +1,4 @@
-"""Seed-for-seed equivalence gate for the HardwareProfile refactor.
+"""Seed-for-seed equivalence gate for refactors of the simulated paths.
 
 ``golden_paper_profile.json`` was captured from the pre-refactor tree
 (module-level constants, ad-hoc ``make_testbed`` wiring). The refactor
@@ -6,6 +6,11 @@ threads :class:`HardwareProfile` through every layer; under the
 ``paper()`` preset the experiments must reproduce those rows bit for
 bit, and a deterministic datapath run must land on the exact same
 simulator clocks.
+
+The rows of ``mq_ablation``, ``fault_isolation``, ``future_work`` and
+``chaos_campaign`` were captured before the block request path was
+folded into one backend handler and one guest driver; they pin the
+experiments that drive that path through real rings.
 """
 
 import json
@@ -14,18 +19,14 @@ import os
 import pytest
 
 from repro.config import HardwareProfile
-from repro.experiments import ablations, fig7, fig9, fig11, iobond_micro, table1
+from repro.experiments import ablations
 from repro.experiments.common import TestbedBuilder, make_testbed
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
                            "golden_paper_profile.json")
-GOLDEN_EXPERIMENTS = {
-    "iobond_micro": iobond_micro,
-    "fig9": fig9,
-    "fig11": fig11,
-    "table1": table1,
-    "fig7": fig7,
-}
+GOLDEN_EXPERIMENTS = ("iobond_micro", "fig9", "fig11", "table1", "fig7",
+                      "mq_ablation", "fault_isolation", "future_work",
+                      "chaos_campaign")
 
 # Clocks from a deterministic pre-refactor run on make_testbed(seed=123):
 # sim.now after a 32-packet net burst plus one bm blk read and one vm blk
@@ -48,8 +49,9 @@ def golden():
 
 class TestPaperProfileEquivalence:
     @pytest.mark.parametrize("exp_id", sorted(GOLDEN_EXPERIMENTS))
-    def test_rows_bit_identical_to_pre_refactor(self, golden, exp_id):
-        result = GOLDEN_EXPERIMENTS[exp_id].run(seed=0, quick=True)
+    def test_rows_bit_identical_to_pre_refactor(self, golden, exp_id,
+                                                experiment_results):
+        result = experiment_results[exp_id]
         assert result.rows == golden[exp_id]["rows"]
         observed = [(c.name, c.passed) for c in result.checks]
         expected = [tuple(c) for c in golden[exp_id]["checks"]]

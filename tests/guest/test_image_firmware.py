@@ -88,21 +88,28 @@ class TestFirmwareSigning:
             firmware.update(replayed)
 
 
+def _shared_ring_boot(sim, firmware, served, booted):
+    """Boot ``booted`` over a shared vring whose backend serves ``served``."""
+    from types import SimpleNamespace
+
+    from repro.core.vm_datapath import VmBlkService
+    from repro.virtio.blk import BlkQueueDriver
+
+    service = VmBlkService(sim, SimpleNamespace(), served)
+    service.start()
+    driver = BlkQueueDriver(sim, service.device, 10e-6)
+    try:
+        return sim.run_process(firmware.boot(driver, booted))
+    finally:
+        service.stop()
+        driver.close()
+
+
 class TestBoot:
     def test_boot_loads_bootloader_and_kernel(self, sim):
         firmware = EfiFirmware(sim)
         image = VmImage("centos7")
-        reads = []
-
-        def io_roundtrip(sector, n_sectors):
-            reads.append((sector, n_sectors))
-            yield sim.timeout(100e-6)
-            return image.read_sector(sector)
-
-        from repro.virtio import VirtioBlkDevice, full_init
-
-        blk = full_init(VirtioBlkDevice())
-        record = sim.run_process(firmware.boot(blk, image, io_roundtrip))
+        record = _shared_ring_boot(sim, firmware, image, image)
         assert record.kernel_version == image.kernel_version
         assert record.bootloader_bytes == len(list(image.bootloader_range)) * SECTOR_BYTES
         assert record.kernel_bytes == len(list(image.kernel_range)) * SECTOR_BYTES
@@ -110,15 +117,8 @@ class TestBoot:
         assert record.boot_time_s > 0.06  # EFI init + reads + handoff
 
     def test_corrupt_bootloader_detected(self, sim):
+        """The device serves another image's sectors."""
         firmware = EfiFirmware(sim)
-        image = VmImage("centos7")
-
-        def bad_io(sector, n_sectors):
-            yield sim.timeout(10e-6)
-            return b"\x00" * SECTOR_BYTES
-
-        from repro.virtio import VirtioBlkDevice, full_init
-
-        blk = full_init(VirtioBlkDevice())
         with pytest.raises(IOError, match="corrupt"):
-            sim.run_process(firmware.boot(blk, image, bad_io))
+            _shared_ring_boot(sim, firmware, VmImage("other"),
+                              VmImage("centos7"))
