@@ -258,7 +258,7 @@ class CampaignRunner:
                 policy=spec.policy,
             )
             load.install()
-            supervisor.watch(guest, server)
+            supervisor.watch(guest)
             loads[name] = load
             port = guest.bond.port("blk")
             monitors.append(ExactlyOnceRingMonitor(name, guest.blk_device.vq))

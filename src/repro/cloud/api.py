@@ -166,7 +166,6 @@ class CloudController:
             server.chassis.remove(guest.board)
             server.guests.remove(guest)
             server.vswitch.remove_port(guest.net_path.port_name)
-            del server.hypervisors[guest.name]
         else:
             server = self.vm_servers[record.server]
             server.guests.remove(record.guest)

@@ -86,11 +86,11 @@ class QueueSpec:
     (VIRTIO_BLK_F_MQ request queues / VIRTIO_NET_F_MQ pairs);
     ``backend_workers`` shards the vhost/SPDK/DPDK backends across
     poll-mode workers (queue-affine, ring ``i`` -> worker
-    ``i % workers``). ``passthrough`` selects the per-queue-worker
-    bm-hypervisor datapath (each virtqueue gets its own doorbell and
-    service loop, so backend round-trips overlap across queues) instead
-    of the default mediated single poll loop. The defaults reproduce
-    the historical single-ring wiring bit-for-bit.
+    ``i % workers``). ``passthrough`` selects the per-queue worker
+    layout of the bm-hypervisor (each virtqueue gets its own doorbell
+    and worker, so backend round-trips overlap across queues) instead
+    of the default mediated layout, one worker for every queue. The
+    defaults reproduce the historical single-ring wiring bit-for-bit.
     """
 
     blk_queues: int = 1

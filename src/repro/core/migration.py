@@ -5,7 +5,9 @@ We call this feature cold migration... A prerequisite of cold migration
 is that bm-guests must be able to connect to the cloud storage and
 network" (Section 3.1). Because the image lives in cloud storage and
 both services boot it through virtio, migration is: stop here, boot
-there, same image.
+there, same image. Both directions boot through the same firmware and
+blk driver: :meth:`BmHiveServer.boot_guest` over IO-Bond, and
+:func:`~repro.core.vm_datapath.vm_boot_via_rings` over the shared vring.
 
 (The paper explicitly does *not* support live migration of bm-guests —
 Section 6 discusses a prototype and its drawbacks — so only cold
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 from repro.core.guests import BmGuest, VmGuest
 from repro.core.server import BmHiveServer, VirtServer
+from repro.core.vm_datapath import vm_boot_via_rings
 from repro.guest.image import VmImage
-from repro.virtio.blk import SECTOR_BYTES
 
 __all__ = ["MigrationRecord", "cold_migrate_to_vm", "cold_migrate_to_bm"]
 
@@ -39,19 +41,11 @@ class MigrationRecord:
         return bool(self.image_digest)
 
 
-def _vm_boot(sim, guest: VmGuest, image: VmImage):
-    """Process: approximate vm-guest boot through its block path.
-
-    Reads the bootloader and kernel through the vm storage datapath in
-    32 KiB chunks, like the firmware does on the bm side.
-    """
-    for _ in image.bootloader_range:
-        yield from guest.blk_path.io(SECTOR_BYTES, is_read=True)
-    kernel = image.kernel_range
-    chunk = 64
-    for _ in range(kernel.start, kernel.stop, chunk):
-        yield from guest.blk_path.io(chunk * SECTOR_BYTES, is_read=True)
-    yield sim.timeout(10e-3)  # decompress + init
+def _check_kernel(guest_name: str, record, image: VmImage) -> None:
+    if record.kernel_version != image.kernel_version:
+        raise ValueError(
+            f"{guest_name} booted kernel {record.kernel_version!r}, "
+            f"image carries {image.kernel_version!r}")
 
 
 def cold_migrate_to_vm(sim, guest: BmGuest, server: BmHiveServer,
@@ -68,7 +62,9 @@ def cold_migrate_to_vm(sim, guest: BmGuest, server: BmHiveServer,
     yield sim.timeout(2.0)  # control-plane: deallocate + schedule
     vm = target.launch_guest(memory_gib=guest.memory.spec.capacity_gib,
                              image=image, name=f"{guest.name}.as-vm")
-    yield from _vm_boot(sim, vm, image)
+    record, _ = yield from vm_boot_via_rings(sim, vm, image,
+                                             profile=target.profile)
+    _check_kernel(vm.name, record, image)
     return MigrationRecord(
         source_kind="bm",
         target_kind="vm",
@@ -90,10 +86,7 @@ def cold_migrate_to_bm(sim, guest: VmGuest, server: VirtServer,
     bm = target.launch_guest(memory_gib=guest.memory.spec.capacity_gib,
                              image=image, name=f"{guest.name}.as-bm")
     record = yield from target.boot_guest(bm, image)
-    if record.kernel_version != image.kernel_version:
-        raise ValueError(
-            f"{bm.name} booted kernel {record.kernel_version!r}, "
-            f"image carries {image.kernel_version!r}")
+    _check_kernel(bm.name, record, image)
     return MigrationRecord(
         source_kind="vm",
         target_kind="bm",

@@ -13,7 +13,7 @@ Both expose ``launch_guest`` returning a fully wired guest whose
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.backend.dpdk import DpdkVSwitch
 from repro.backend.fabric import Fabric
@@ -120,7 +120,6 @@ class BmHiveServer:
         )
         self.iobond_spec = iobond_spec or self.profile.iobond
         self.guests: List[BmGuest] = []
-        self.hypervisors: Dict[str, BmHypervisor] = {}
         self._guest_ids = itertools.count()
 
     @property
@@ -165,7 +164,6 @@ class BmHiveServer:
                                   spec=self.profile.bm_hypervisor,
                                   passthrough=queues.passthrough)
         hypervisor.power_on(board)
-        self.hypervisors[name] = hypervisor
 
         guest = BmGuest(
             self.sim, cpu_model, memory_gib, name=name,

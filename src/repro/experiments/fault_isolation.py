@@ -69,7 +69,7 @@ def _run_scenario(seed: int, plan: FaultPlan, n_requests: int):
         load = RingBlkLoad(sim, guest, storage, n_requests=n_requests,
                            period_s=PERIOD_S, offset_s=offset, policy=POLICY)
         load.install()
-        supervisor.watch(guest, server)
+        supervisor.watch(guest)
         loads[name] = load
 
     injector.arm(server)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.backend.vhost import VhostUserBackend, VhostUserFrontend
-from repro.hypervisor.bm import BmHypervisor, GuestState
+from repro.hypervisor.bm import GuestState
 from repro.hypervisor.upgrade import EXEC_NEW_BUILD_S, RESTORE_S, HypervisorState
 from repro.sim.events import Event
 
@@ -106,21 +106,20 @@ class Supervisor:
         self.records: List[RestartRecord] = []
         self._watches: Dict[str, object] = {}
 
-    def watch(self, guest, server) -> None:
+    def watch(self, guest) -> None:
         """Supervise ``guest``'s bm-hypervisor (and its replacements).
 
-        ``server`` is the owning :class:`~repro.core.server.
-        BmHiveServer`; the supervisor swaps restarted processes into
-        both ``guest.hypervisor`` and ``server.hypervisors``.
+        The supervisor swaps each restarted process into
+        ``guest.hypervisor``.
         """
         if guest.name in self._watches:
             raise ValueError(f"already watching {guest.name}")
         self._watches[guest.name] = self.sim.spawn(
-            self._watch_loop(guest, server), name=f"supervisor.{guest.name}"
+            self._watch_loop(guest), name=f"supervisor.{guest.name}"
         )
 
     # -- internals -----------------------------------------------------
-    def _watch_loop(self, guest, server):
+    def _watch_loop(self, guest):
         rng = self.sim.streams.get(f"faults.supervisor.{guest.name}")
         while True:
             crashed = Event(self.sim)
@@ -148,14 +147,10 @@ class Supervisor:
                         return
                     continue
                 break
-            replacement = BmHypervisor(
-                self.sim, dead.bond, guest_name=dead.guest_name, spec=dead.spec,
-            )
-            replacement.version = getattr(dead, "version", "1.0")
-            state.restore_into(replacement)
+            replacement = state.respawn(self.sim, dead.bond)
             yield self.sim.timeout(self.spec.restore_s)
             # Replay entries the dead process had consumed but never
-            # completed: republished before the poll loop starts, so the
+            # completed: republished before the workers start, so the
             # first drain pass picks them up (in original order).
             replayed = 0
             for port in dead.bond.ports.values():
@@ -164,7 +159,6 @@ class Supervisor:
             if replacement.state in (GuestState.BOOTING, GuestState.RUNNING):
                 replacement.start()
             guest.hypervisor = replacement
-            server.hypervisors[guest.name] = replacement
             if self.accounting is not None:
                 self.accounting.record_up(guest.name, cause="hypervisor_crash")
             self.records.append(RestartRecord(

@@ -8,15 +8,21 @@ infrastructure... Every bm-hypervisor process provides service to one
 bm-guest only" (Section 3.2). Crucially it virtualizes *nothing*: no
 CPU, no memory, no instruction emulation — its whole data plane is
 polling IO-Bond's mailbox and shadow-vring registers.
+
+That polling is one worker body laid out two ways: one worker for the
+mailbox and every queue (mediated), or a mailbox worker plus one worker
+per queue (passthrough). Because the process holds nothing the device
+does not, crash restart and live upgrade both rebuild it through
+:meth:`repro.hypervisor.upgrade.HypervisorState.respawn`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.iobond.bond import IoBond, IoBondPort
+from repro.iobond.bond import IoBond
 from repro.sim.doorbell import Doorbell
 from repro.sim.events import Interrupt
 
@@ -43,48 +49,50 @@ class BmHypervisorSpec:
 class BmHypervisor:
     """One bm-guest's backend process on the base server.
 
-    The data plane is driven by :meth:`poll_loop`, a simulation process
-    that mirrors the dedicated polling thread: it drains the mailbox
-    (forwarded PCI accesses) and every registered shadow vring, handing
-    entries to per-queue handlers (the DPDK/SPDK glue installed by the
-    server layer).
+    The data plane is one worker body, :meth:`_serve`, mirroring the
+    dedicated polling thread: drain the mailbox (forwarded PCI
+    accesses) if this worker owns it, then drain its shadow vrings,
+    handing entries to per-queue handlers (the DPDK/SPDK glue installed
+    by the server layer), and park on its doorbell when a pass finds
+    nothing. Two layouts run that body:
+
+    * mediated (default): one worker, ``bmhv.<guest>``, owns the
+      mailbox and every registered queue in registration order, so
+      backend round-trips serialize across queues;
+    * passthrough: a mailbox worker, ``bmhv.<guest>.mailbox``, plus one
+      worker per ``(port, queue)``, ``bmhv.<guest>.<port>.q<i>``, each
+      parked on its own doorbell, so queues overlap their backend
+      round-trips (the I/O-queues-passthrough design the mq_ablation
+      experiment quantifies).
     """
 
     def __init__(self, sim, bond: IoBond, guest_name: str,
                  spec: BmHypervisorSpec = BmHypervisorSpec(),
-                 passthrough: bool = False):
+                 passthrough: bool = False, version: str = "1.0"):
         self.sim = sim
         self.bond = bond
         self.guest_name = guest_name
         self.spec = spec
-        self.state = GuestState.UNASSIGNED
-        # Datapath mode. ``mediated`` (default): one poll loop serves
-        # every registered virtqueue and drives each service generator
-        # inline — backend round-trips serialize across queues.
-        # ``passthrough``: every (port, queue) gets its own worker
-        # process with its own doorbell, so queues overlap their
-        # backend round-trips (the I/O-queues-passthrough design the
-        # mq_ablation experiment quantifies).
         self.passthrough = passthrough
+        self.version = version
+        self.state = GuestState.UNASSIGNED
         # (port, queue_index) -> handler(entry) -> generator | None
         self._handlers: Dict[Tuple[str, int], Callable] = {}
-        # Snapshot of _handlers.items(), rebuilt lazily: the poll loop
-        # iterates this every spin, so it must not re-materialize the
-        # dict view each time. Invalidated by register_handler.
-        self._handler_items: Optional[list] = None
-        # Idle-skip doorbell: producers (mailbox posts, shadow-vring
-        # publishes) ring it so the idle loop never has to spin. In
-        # passthrough mode this bell only covers the mailbox loop;
-        # shadow publishes ring the owning queue's bell instead.
+        # Registered queues in registration order, each paired with its
+        # port's shadow dict (IO-Bond creates shadows lazily on the
+        # first guest kick). The mediated worker walks this list.
+        self._queues: List[Tuple[Tuple[str, int], dict]] = []
+        # Idle-skip doorbells: producers (mailbox posts, shadow-vring
+        # publishes) ring them so an idle worker never has to spin.
+        # ``doorbell`` wakes the worker that owns the mailbox; in
+        # passthrough each queue's publishes ring its own bell instead.
         self.doorbell = Doorbell(sim, spec.poll_interval_s)
-        # Passthrough per-queue state: one doorbell and one worker
-        # process per registered (port, queue_index).
         self.queue_doorbells: Dict[Tuple[str, int], Doorbell] = {}
-        self._queue_processes: Dict[Tuple[str, int], object] = {}
-        # Per-queue service counter, maintained in both modes.
+        # The process table: worker name -> running worker process.
+        self.workers: Dict[str, object] = {}
+        # Per-queue service counter, maintained in both layouts.
         self.queue_entries_handled: Dict[Tuple[str, int], int] = {}
-        self._poll_process = None
-        # Service generators the poll loop is currently driving; a
+        # Service generators the workers are currently driving; a
         # crash kills these with the process (their work is lost and
         # must be replayed), while a clean stop() lets them finish.
         self._service_processes = set()
@@ -125,10 +133,8 @@ class BmHypervisor:
 
     @property
     def is_polling(self) -> bool:
-        """Whether the data-plane service thread(s) are alive."""
-        if self._poll_process is not None and self._poll_process.is_alive:
-            return True
-        return any(p.is_alive for p in self._queue_processes.values())
+        """Whether any data-plane worker is alive."""
+        return any(p.is_alive for p in self.workers.values())
 
     # -- data plane ---------------------------------------------------------------
     def handlers(self) -> Dict[Tuple[str, int], Callable]:
@@ -145,177 +151,121 @@ class BmHypervisor:
                          handler: Callable) -> None:
         """Install the backend handler for one virtqueue.
 
-        ``handler(entry)`` may return a generator, which the poll loop
-        drives inline (e.g. forwarding a burst into the vSwitch).
+        ``handler(entry)`` may return a generator, which the worker
+        drives inline (e.g. forwarding a burst into the vSwitch). A
+        queue registered while the hypervisor runs is served at once:
+        the mediated worker picks it up on its next pass, and
+        passthrough spawns its worker.
         """
         key = (port_name, queue_index)
-        self._handlers[key] = handler
-        self._handler_items = None  # invalidate the poll loop's snapshot
-        self.queue_entries_handled.setdefault(key, 0)
-        # Wire the doorbell into this queue's shadow vring — including
-        # shadows that do not exist yet (IO-Bond creates them lazily on
-        # the first guest kick). Mediated mode rings the shared bell;
-        # passthrough rings the queue's own bell, so a publish wakes
-        # only the worker that owns the queue.
         port = self.bond.port(port_name)
+        is_new = key not in self._handlers
+        self._handlers[key] = handler
+        self.queue_entries_handled.setdefault(key, 0)
+        if is_new:
+            queue = (key, port.shadows)
+            self._queues.append(queue)
+            if self.passthrough:
+                self.queue_doorbells[key] = Doorbell(
+                    self.sim, self.spec.poll_interval_s)
+                if self.workers:
+                    self._spawn_queue_worker(queue)
+        # Wire the doorbell into this queue's shadow vring, including
+        # shadows that do not exist yet. Mediated mode rings the shared
+        # bell and claims every new shadow of the port; passthrough
+        # rings the queue's own bell and claims only its own queue, so
+        # a publish wakes only the worker that owns the queue.
         if self.passthrough:
-            bell = self.queue_doorbells.get(key)
-            if bell is None:
-                bell = Doorbell(self.sim, self.spec.poll_interval_s)
-                self.queue_doorbells[key] = bell
-            ring = bell.ring
+            ring, claims = self.queue_doorbells[key].ring, queue_index
         else:
-            ring = self.doorbell.ring
+            ring, claims = self.doorbell.ring, None
         shadow = port.shadows.get(queue_index)
         if shadow is not None:
             shadow.on_publish = ring
             if shadow.registers.pending > 0:
                 ring()
 
-        previous = port.on_shadow_created
-
-        if self.passthrough:
-            # Each registration only claims shadows of its own queue;
-            # the chained hooks from sibling registrations skip them.
-            def wire(new_shadow, _previous=previous, _ring=ring,
-                     _queue_index=queue_index):
-                if _previous is not None:
-                    _previous(new_shadow)
-                if new_shadow.queue_index == _queue_index:
-                    new_shadow.on_publish = _ring
-        else:
-            def wire(new_shadow, _previous=previous, _ring=ring):
-                if _previous is not None:
-                    _previous(new_shadow)
-                new_shadow.on_publish = _ring
+        def wire(new_shadow, _previous=port.on_shadow_created):
+            if _previous is not None:
+                _previous(new_shadow)
+            if claims is None or new_shadow.queue_index == claims:
+                new_shadow.on_publish = ring
 
         port.on_shadow_created = wire
 
     def start(self) -> None:
-        """Spawn the service thread(s).
-
-        Mediated mode starts the single PMD-style poll loop.
-        Passthrough mode starts one worker per registered virtqueue
-        plus a mailbox loop — handlers must be registered before
-        ``start()`` so every queue gets its worker.
-        """
-        if self._poll_process is not None or self._queue_processes:
+        """Spawn the workers of this hypervisor's layout."""
+        if self.workers:
             raise RuntimeError("poll loop already started")
-        self.bond.mailbox.on_post = self.doorbell.ring
+        mailbox = self.bond.mailbox
+        mailbox.on_post = self.doorbell.ring
+        name = f"bmhv.{self.guest_name}"
         if not self.passthrough:
-            self._poll_process = self.sim.spawn(
-                self.poll_loop(), name=f"bmhv.{self.guest_name}"
-            )
+            self._spawn(name, self.doorbell, self._queues, mailbox)
             return
-        self._poll_process = self.sim.spawn(
-            self.mailbox_loop(), name=f"bmhv.{self.guest_name}.mailbox"
-        )
-        for key in self._handlers:
-            port_name, queue_index = key
-            self._queue_processes[key] = self.sim.spawn(
-                self.queue_loop(key),
-                name=f"bmhv.{self.guest_name}.{port_name}.q{queue_index}",
-            )
+        self._spawn(f"{name}.mailbox", self.doorbell, (), mailbox)
+        for queue in self._queues:
+            self._spawn_queue_worker(queue)
 
-    def poll_loop(self):
-        """Process: the PMD-style service loop (runs until interrupted)."""
-        try:
-            yield from self._poll_forever()
-        except Interrupt:
-            return
-
-    def mailbox_loop(self):
-        """Process: passthrough-mode mailbox service (PCI emulation only)."""
-        try:
-            yield from self._mailbox_forever()
-        except Interrupt:
-            return
-
-    def queue_loop(self, key: Tuple[str, int]):
-        """Process: passthrough-mode worker for one (port, queue)."""
-        try:
-            yield from self._queue_forever(key)
-        except Interrupt:
-            return
-
-    def _poll_forever(self):
-        while True:
-            busy = False
-            # Forwarded PCI accesses land in the mailbox; the response
-            # side of the emulation costs software time here.
-            while self.bond.mailbox.poll_request() is not None:
-                yield self.sim.timeout(self.spec.pci_emulation_s)
-                self.pci_requests_handled += 1
-                busy = True
-            items = self._handler_items
-            if items is None:
-                items = self._handler_items = list(self._handlers.items())
-            for (port_name, queue_index), handler in items:
-                port = self.bond.port(port_name)
-                if queue_index not in port.shadows:
-                    continue
-                shadow = port.shadows[queue_index]
-                while True:
-                    entry = shadow.backend_poll()
-                    if entry is None:
-                        break
-                    yield self.sim.timeout(self.spec.request_handling_s)
-                    result = handler(entry)
-                    if result is not None and hasattr(result, "send"):
-                        service = self.sim.spawn(result)
-                        self._service_processes.add(service)
-                        try:
-                            yield service
-                        finally:
-                            self._service_processes.discard(service)
-                    self.entries_handled += 1
-                    self.queue_entries_handled[(port_name, queue_index)] = (
-                        self.queue_entries_handled.get(
-                            (port_name, queue_index), 0) + 1)
-                    busy = True
-            if not busy:
-                # A clean drain pass consumes no simulated time, so the
-                # park anchors on a time the busy-poll grid would reach.
-                yield self.doorbell.park()
-
-    def _mailbox_forever(self):
-        while True:
-            busy = False
-            while self.bond.mailbox.poll_request() is not None:
-                yield self.sim.timeout(self.spec.pci_emulation_s)
-                self.pci_requests_handled += 1
-                busy = True
-            if not busy:
-                yield self.doorbell.park()
-
-    def _queue_forever(self, key: Tuple[str, int]):
+    def _spawn_queue_worker(self, queue) -> None:
+        key = queue[0]
         port_name, queue_index = key
-        port = self.bond.port(port_name)
-        bell = self.queue_doorbells[key]
-        while True:
-            busy = False
-            shadow = port.shadows.get(queue_index)
-            if shadow is not None:
-                handler = self._handlers[key]
-                while True:
-                    entry = shadow.backend_poll()
-                    if entry is None:
-                        break
-                    yield self.sim.timeout(self.spec.request_handling_s)
-                    result = handler(entry)
-                    if result is not None and hasattr(result, "send"):
-                        service = self.sim.spawn(result)
-                        self._service_processes.add(service)
-                        try:
-                            yield service
-                        finally:
-                            self._service_processes.discard(service)
-                    self.entries_handled += 1
-                    self.queue_entries_handled[key] = (
-                        self.queue_entries_handled.get(key, 0) + 1)
-                    busy = True
-            if not busy:
-                yield bell.park()
+        self._spawn(f"bmhv.{self.guest_name}.{port_name}.q{queue_index}",
+                    self.queue_doorbells[key], (queue,))
+
+    def _spawn(self, name: str, bell: Doorbell, queues, mailbox=None) -> None:
+        self.workers[name] = self.sim.spawn(
+            self._serve(bell, queues, mailbox), name=name)
+
+    def _serve(self, bell: Doorbell, queues, mailbox):
+        """Process: one worker (runs until interrupted).
+
+        Drains ``mailbox`` (None if another worker owns it), then each
+        of ``queues`` in order, and parks on ``bell`` after a pass that
+        found no work.
+        """
+        sim = self.sim
+        spec = self.spec
+        handlers = self._handlers
+        counts = self.queue_entries_handled
+        try:
+            while True:
+                busy = False
+                # Forwarded PCI accesses land in the mailbox; the
+                # response side of the emulation costs software time.
+                if mailbox is not None:
+                    while mailbox.poll_request() is not None:
+                        yield sim.timeout(spec.pci_emulation_s)
+                        self.pci_requests_handled += 1
+                        busy = True
+                for key, shadows in queues:
+                    shadow = shadows.get(key[1])
+                    if shadow is None:
+                        continue
+                    handler = handlers[key]
+                    while True:
+                        entry = shadow.backend_poll()
+                        if entry is None:
+                            break
+                        yield sim.timeout(spec.request_handling_s)
+                        result = handler(entry)
+                        if result is not None and hasattr(result, "send"):
+                            service = sim.spawn(result)
+                            self._service_processes.add(service)
+                            try:
+                                yield service
+                            finally:
+                                self._service_processes.discard(service)
+                        self.entries_handled += 1
+                        counts[key] += 1
+                        busy = True
+                if not busy:
+                    # A clean drain pass consumes no simulated time, so
+                    # the park anchors on a time the busy-poll grid
+                    # would reach.
+                    yield bell.park()
+        except Interrupt:
+            return
 
     # -- snapshot rebuild protocol ---------------------------------------------
     def snapshot_state(self) -> dict:
@@ -360,22 +310,23 @@ class BmHypervisor:
                     "shell with the same handlers before restoring")
             bell.restore_state(bell_state)
 
-    def stop(self) -> None:
-        if self._poll_process is not None and self._poll_process.is_alive:
-            self._poll_process.interrupt("shutdown")
-        self._poll_process = None
-        for process in self._queue_processes.values():
+    def _halt(self, cause: str) -> None:
+        """Interrupt every worker and disarm the doorbells."""
+        for process in self.workers.values():
             if process.is_alive:
-                process.interrupt("shutdown")
-        self._queue_processes.clear()
+                process.interrupt(cause)
+        self.workers.clear()
         self.doorbell.cancel()
         for bell in self.queue_doorbells.values():
             bell.cancel()
         if self.bond.mailbox.on_post == self.doorbell.ring:
             self.bond.mailbox.on_post = None
 
+    def stop(self) -> None:
+        self._halt("shutdown")
+
     def crash(self) -> None:
-        """Kill the process: poll thread AND in-flight service work die.
+        """Kill the process: workers AND in-flight service work die.
 
         Unlike :meth:`stop` (a clean shutdown that lets spawned service
         generators run to completion), a crash takes the whole address
@@ -387,21 +338,10 @@ class BmHypervisor:
         if self.crashed:
             return
         self.crashed = True
-        if self._poll_process is not None and self._poll_process.is_alive:
-            self._poll_process.interrupt("crash")
-        self._poll_process = None
-        for process in self._queue_processes.values():
-            if process.is_alive:
-                process.interrupt("crash")
-        self._queue_processes.clear()
+        self._halt("crash")
         for service in list(self._service_processes):
             if service.is_alive:
                 service.interrupt("crash")
         self._service_processes.clear()
-        self.doorbell.cancel()
-        for bell in self.queue_doorbells.values():
-            bell.cancel()
-        if self.bond.mailbox.on_post == self.doorbell.ring:
-            self.bond.mailbox.on_post = None
         if self.on_crash is not None:
             self.on_crash(self)

@@ -41,6 +41,15 @@ class TestBmToVm:
         record = sim.run_process(cold_migrate_to_vm(sim, guest, hive, kvm))
         assert record.downtime_s > 2.0  # control plane + boot
 
+    def test_vm_boots_through_its_blk_device(self, world):
+        """The firmware's boot reads run over the vm-guest's own ring."""
+        sim, hive, kvm = world
+        guest = hive.launch_guest(image=VmImage("img"))
+        record = sim.run_process(cold_migrate_to_vm(sim, guest, hive, kvm))
+        vm = kvm.guests[0]
+        assert vm.name == record.target_name
+        assert vm.blk_device.vq.used_idx == 8 + 256  # bootloader + kernel
+
     def test_migrating_imageless_guest_rejected(self, world):
         sim, hive, kvm = world
         guest = hive.launch_guest()  # no image

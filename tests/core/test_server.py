@@ -52,7 +52,8 @@ class TestBmHiveServer:
         a = server.launch_guest()
         b = server.launch_guest()
         assert a.hypervisor is not b.hypervisor
-        assert len(server.hypervisors) == 2
+        assert [g.hypervisor.guest_name for g in server.guests] == [
+            a.name, b.name]
 
     def test_custom_limits_applied(self, sim):
         server = BmHiveServer(sim)

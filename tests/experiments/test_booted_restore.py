@@ -94,8 +94,7 @@ class TestBootedRestore:
         booted = boot_testbed(builder.build())
         restored = _restore_booted(builder, booted.sim.snapshot())
         assert restored.bm.blk_device.n_queues == n_queues
-        assert (restored.hive.hypervisors[restored.bm.name].passthrough
-                == passthrough)
+        assert restored.bm.hypervisor.passthrough == passthrough
         assert _state(restored.sim) == _state(booted.sim)
         assert _drive(restored) == _drive(booted)
         assert _state(restored.sim) == _state(booted.sim)

@@ -72,7 +72,7 @@ class TestSupervisorRestart:
         load = RingBlkLoad(sim, guest, server.storage, n_requests=4,
                            policy=OUTAGE_POLICY)
         load.install()
-        supervisor.watch(guest, server)
+        supervisor.watch(guest)
         original = guest.hypervisor
         injector = FaultInjector(sim, _crash_plan(1e-3))
         injector.arm(server)
@@ -82,7 +82,7 @@ class TestSupervisorRestart:
         assert original.crashed
         assert guest.hypervisor is not original
         assert guest.hypervisor.is_polling
-        assert server.hypervisors["g0"] is guest.hypervisor
+        assert guest.hypervisor.bond is guest.bond
         assert len(supervisor.records) == 1
         rec = supervisor.records[0]
         assert not rec.gave_up
@@ -94,7 +94,7 @@ class TestSupervisorRestart:
         load = RingBlkLoad(sim, guest, server.storage, n_requests=4,
                            period_s=400e-6, policy=OUTAGE_POLICY)
         load.install()
-        supervisor.watch(guest, server)
+        supervisor.watch(guest)
         # First request issues at t=0 and takes ~140 us through the
         # backend; crashing at 50 us kills it mid-service, leaving a
         # consumed-but-uncompleted chain in the shadow vring.
@@ -116,17 +116,57 @@ class TestSupervisorRestart:
         load = RingBlkLoad(sim, guest, server.storage, n_requests=2)
         load.install()
         before = dict(guest.hypervisor.handlers())
-        supervisor.watch(guest, server)
+        supervisor.watch(guest)
         FaultInjector(sim, _crash_plan(1e-3)).arm(server)
         sim.spawn(load.run())
         sim.run(until=0.2)
         assert dict(guest.hypervisor.handlers()).keys() == before.keys()
 
+    def test_passthrough_restart_keeps_one_worker_per_queue(self):
+        """The replacement comes back in the crashed process's layout."""
+        from dataclasses import replace
+
+        from repro.config.profile import HardwareProfile, QueueSpec
+
+        n_queues = 3
+        profile = replace(HardwareProfile.paper(), queues=QueueSpec(
+            blk_queues=n_queues, backend_workers=n_queues, passthrough=True))
+        sim = Simulator(seed=33)
+        server = BmHiveServer(sim, profile=profile)
+        guest = server.launch_guest(name="g0")
+        supervisor = Supervisor(sim)
+        loads = [RingBlkLoad(sim, guest, server.storage, n_requests=6,
+                             offset_s=qi * 100e-6, policy=OUTAGE_POLICY,
+                             queue_index=qi)
+                 for qi in range(n_queues)]
+        for load in loads:
+            load.install()
+        supervisor.watch(guest)
+        original = guest.hypervisor
+        FaultInjector(sim, _crash_plan(1e-3)).arm(server)
+        for load in loads:
+            sim.spawn(load.run())
+        sim.run(until=0.2)
+
+        assert original.crashed and len(supervisor.records) == 1
+        replacement = guest.hypervisor
+        assert replacement is not original
+        assert replacement.passthrough
+        assert replacement.spec == original.spec
+        assert set(replacement.workers) == {"bmhv.g0.mailbox"} | {
+            f"bmhv.g0.blk.q{qi}" for qi in range(n_queues)}
+        assert all(replacement.queue_entries_handled[("blk", qi)] > 0
+                   for qi in range(n_queues))
+        for load in loads:
+            assert sorted(i for i, _, _, _ in load.records) == list(range(6))
+            assert load.duplicate_completions == 0
+            assert not load.failures
+
     def test_exec_failures_consume_attempts_then_give_up(self):
         spec = SupervisorSpec(exec_failure_rate=1.0, max_attempts=2)
         sim, server, guest, supervisor = _rig(supervisor_spec=spec)
         guest.hypervisor.start()
-        supervisor.watch(guest, server)
+        supervisor.watch(guest)
         FaultInjector(sim, _crash_plan(1e-3)).arm(server)
         original = guest.hypervisor
         sim.run(until=1.0)
@@ -138,9 +178,9 @@ class TestSupervisorRestart:
 
     def test_double_watch_rejected(self):
         sim, server, guest, supervisor = _rig()
-        supervisor.watch(guest, server)
+        supervisor.watch(guest)
         with pytest.raises(ValueError, match="already watching"):
-            supervisor.watch(guest, server)
+            supervisor.watch(guest)
 
     def test_restart_is_seed_deterministic(self):
         def run_once():
@@ -148,7 +188,7 @@ class TestSupervisorRestart:
             load = RingBlkLoad(sim, guest, server.storage, n_requests=8,
                                policy=OUTAGE_POLICY)
             load.install()
-            supervisor.watch(guest, server)
+            supervisor.watch(guest)
             FaultInjector(sim, _crash_plan(1e-3)).arm(server)
             sim.spawn(load.run())
             sim.run(until=0.2)

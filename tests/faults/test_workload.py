@@ -50,7 +50,7 @@ def _machinery_run(seed, plan, n_requests=12, policy=None, until=0.2):
     load = RingBlkLoad(sim, guest, server.storage, n_requests=n_requests,
                        policy=policy)
     load.install()
-    supervisor.watch(guest, server)
+    supervisor.watch(guest)
     FaultInjector(sim, plan, accounting=accounting).arm(server)
     sim.spawn(load.run())
     sim.run(until=until)

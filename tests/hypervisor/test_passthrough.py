@@ -20,7 +20,8 @@ def _mq_profile(passthrough: bool) -> HardwareProfile:
         passthrough=passthrough))
 
 
-def _rig(passthrough: bool, seed: int = 3):
+def _rig(passthrough: bool, seed: int = 3, late=()):
+    """A started 3-queue guest; queues in ``late`` register after start()."""
     sim = Simulator(seed=seed)
     hive = BmHiveServer(sim, profile=_mq_profile(passthrough))
     guest = hive.launch_guest(name="mq0", limits=RateLimits.unrestricted())
@@ -47,10 +48,13 @@ def _rig(passthrough: bool, seed: int = 3):
 
     hv = guest.hypervisor
     for qi in range(N_QUEUES):
-        hv.register_handler("blk", qi, make_handler(qi))
+        if qi not in late:
+            hv.register_handler("blk", qi, make_handler(qi))
     hv.mark_booting()
     hv.start()
     hv.mark_running()
+    for qi in late:
+        hv.register_handler("blk", qi, make_handler(qi))
     return sim, hive, guest, blk, bond, port, hv
 
 
@@ -70,7 +74,8 @@ class TestPassthroughDataplane:
         assert hv.passthrough
         assert set(hv.queue_doorbells) == {("blk", qi)
                                            for qi in range(N_QUEUES)}
-        assert set(hv._queue_processes) == set(hv.queue_doorbells)
+        assert set(hv.workers) == {"bmhv.mq0.mailbox"} | {
+            f"bmhv.mq0.blk.q{qi}" for qi in range(N_QUEUES)}
         assert hv.is_polling
 
     def test_requests_serviced_per_queue_with_stats(self):
@@ -93,6 +98,7 @@ class TestPassthroughDataplane:
         sim, hive, guest, blk, bond, port, hv = _rig(passthrough=False)
         assert not hv.passthrough
         assert hv.queue_doorbells == {}
+        assert set(hv.workers) == {"bmhv.mq0"}
         _kick_one_read_per_queue(sim, blk, bond, port)
         for qi in range(N_QUEUES):
             assert hv.queue_entries_handled[("blk", qi)] == 1
@@ -107,7 +113,19 @@ class TestPassthroughDataplane:
         hv.stop()
         sim.run(until=sim.now + 1e-4)
         assert not hv.is_polling
-        assert hv._queue_processes == {}
+        assert hv.workers == {}
+
+    @pytest.mark.parametrize("passthrough", [False, True],
+                             ids=["mediated", "passthrough"])
+    def test_queue_registered_after_start_is_served(self, passthrough):
+        sim, hive, guest, blk, bond, port, hv = _rig(
+            passthrough, late=(N_QUEUES - 1,))
+        _kick_one_read_per_queue(sim, blk, bond, port)
+        for qi in range(N_QUEUES):
+            assert blk.queue(qi).get_used() is not None
+            assert hv.queue_entries_handled[("blk", qi)] == 1
+        if passthrough:
+            assert f"bmhv.mq0.blk.q{N_QUEUES - 1}" in hv.workers
 
 
 class TestPassthroughSnapshot:

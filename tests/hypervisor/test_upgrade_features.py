@@ -71,6 +71,32 @@ class TestLiveUpgrade:
         sim.run_process(io(sim))
         assert new_hv.entries_handled > handled_before
 
+    def test_upgrade_keeps_spec_layout_and_new_version(self):
+        """The new build runs the old spec and worker layout."""
+        from dataclasses import replace
+
+        from repro.config.profile import HardwareProfile, QueueSpec
+        from repro.hypervisor import BmHypervisorSpec
+
+        profile = replace(
+            HardwareProfile.paper(),
+            bm_hypervisor=BmHypervisorSpec(poll_interval_s=4e-6),
+            queues=QueueSpec(blk_queues=2, backend_workers=2,
+                             passthrough=True))
+        sim = Simulator(seed=36)
+        hive = BmHiveServer(sim, profile=profile)
+        guest = hive.launch_guest(name="up0")
+        sim.run_process(hive.boot_guest(guest, VmImage("tenant")))
+        old = guest.hypervisor
+        new_hv, record = sim.run_process(live_upgrade(sim, old, "2.0"))
+        assert new_hv.spec == old.spec
+        assert new_hv.spec.poll_interval_s == 4e-6
+        assert new_hv.passthrough
+        assert (old.version, new_hv.version) == ("1.0", "2.0")
+        assert (record.old_version, record.new_version) == ("1.0", "2.0")
+        assert set(new_hv.workers) == {
+            f"bmhv.up0.{name}" for name in ("mailbox", "blk.q0", "blk.q1")}
+
     def test_cannot_upgrade_stopped_guest(self):
         sim = Simulator(seed=34)
         hive = BmHiveServer(sim)
@@ -100,7 +126,6 @@ class TestLiveUpgrade:
         cursors back explicitly (max() restore) instead of trusting
         the device to still hold them.
         """
-        from repro.hypervisor import BmHypervisor
         from repro.hypervisor.upgrade import HypervisorState
         from repro.iobond import IoBond
 
@@ -111,9 +136,7 @@ class TestLiveUpgrade:
 
         rebuilt = IoBond(sim, name="iobond-rebuilt")
         rebuilt.add_port("blk", guest.blk_device)
-        replacement = BmHypervisor(sim, rebuilt,
-                                   guest_name=guest.hypervisor.guest_name)
-        state.restore_into(replacement)
+        replacement = state.respawn(sim, rebuilt)
 
         registers = rebuilt.port("blk").shadow(0).registers
         assert (registers.head, registers.tail) == (saved["head"],
@@ -148,7 +171,6 @@ class TestLiveUpgrade:
             captured = HypervisorState.capture(guest.hypervisor).ring_cursors
             new_hv, record = yield from live_upgrade(sim, guest.hypervisor)
             guest.hypervisor = new_hv
-            hive.hypervisors[guest.name] = new_hv
             swapped["record"] = record
             swapped["captured"] = captured
             swapped["restored"] = HypervisorState.capture(new_hv).ring_cursors
