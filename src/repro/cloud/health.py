@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.hypervisor.health import BoardHealth
 
@@ -124,6 +124,14 @@ class FleetHealth:
     readmits it and closes the span. Listeners registered with
     :meth:`add_quarantine_listener` fire on every quarantine — the
     remediation pipeline hooks in there.
+
+    It also tracks which servers are *unsettled*: those whose next
+    probe could change their record. A server is settled once a probe
+    passes on its HEALTHY record — the record then holds zero misses
+    and ``last_probe_ok`` True, so repeating that probe writes nothing
+    new. Record creation, every state change, every miss and
+    :meth:`unsettle` (the caller's signal that what a probe observes
+    has changed) make it unsettled again.
     """
 
     def __init__(self, sim, scheduler, policy: Optional[HealthPolicy] = None,
@@ -134,6 +142,7 @@ class FleetHealth:
         self.audit = audit
         self.accounting = accounting
         self._records: Dict[str, _ServerHealth] = {}
+        self._unsettled: Set[str] = set()
         self._listeners: List[Callable] = []
         self.quarantines = 0
         self.readmissions = 0
@@ -144,14 +153,23 @@ class FleetHealth:
         """``callback(server, cause)`` fires on entry to QUARANTINED."""
         self._listeners.append(callback)
 
+    def _check_known(self, name: str) -> None:
+        if name not in self.scheduler.servers:
+            known = ", ".join(sorted(self.scheduler.servers)) or "(none)"
+            raise KeyError(f"unknown server {name!r}; servers: {known}")
+
     def _record(self, name: str) -> _ServerHealth:
-        if name not in self._records:
-            if name not in self.scheduler.servers:
-                known = ", ".join(sorted(self.scheduler.servers)) or "(none)"
-                raise KeyError(
-                    f"unknown server {name!r}; servers: {known}")
-            self._records[name] = _ServerHealth(name=name)
-        return self._records[name]
+        record = self._records.get(name)
+        if record is None:
+            self._check_known(name)
+            record = self._records[name] = _ServerHealth(name=name)
+            self._unsettled.add(name)
+        return record
+
+    def unsettle(self, name: str) -> None:
+        """Mark ``name`` for re-probing: what its probe sees changed."""
+        self._check_known(name)
+        self._unsettled.add(name)
 
     # -- queries -------------------------------------------------------
     def state(self, name: str) -> ServerHealthState:
@@ -159,6 +177,10 @@ class FleetHealth:
 
     def last_probe_ok(self, name: str) -> bool:
         return self._record(name).last_probe_ok
+
+    def unsettled(self) -> FrozenSet[str]:
+        """Servers whose next probe could change their record."""
+        return frozenset(self._unsettled)
 
     def counts(self) -> Dict[str, int]:
         """Servers per state name (sorted keys; all states present)."""
@@ -188,6 +210,7 @@ class FleetHealth:
                 f"illegal health transition {frm.value} -> {to.value} "
                 f"for {name!r}")
         record.state = to
+        self._unsettled.add(name)
         if self.audit is not None:
             self.audit.record(
                 "fleet-health", "health_transition", name,
@@ -216,6 +239,11 @@ class FleetHealth:
         While the remediation pipeline owns the server the probe result
         only updates ``last_probe_ok`` (the readmission gate); HEALTHY/
         SUSPECT servers move through the miss-threshold machine.
+
+        A pass on a HEALTHY record settles the server (see
+        :meth:`unsettled`): repeating it is a no-op until something
+        unsettles the server again, so a sweep may skip it. A miss
+        unsettles it.
         """
         record = self._record(name)
         record.last_probe_ok = ok
@@ -226,7 +254,10 @@ class FleetHealth:
             if record.state is ServerHealthState.SUSPECT:
                 self.transition(name, ServerHealthState.HEALTHY,
                                 cause="probe_recovered")
+            else:
+                self._unsettled.discard(name)
             return record.state
+        self._unsettled.add(name)
         self.probe_misses += 1
         record.consecutive_misses += 1
         if record.state is ServerHealthState.HEALTHY:

@@ -35,6 +35,17 @@ def dijkstra(adjacency: Adjacency, source: str
     ``source`` that path leaves through. Unreachable nodes appear in
     neither map.
     """
+    return _shortest_paths(_sorted_neighbors(adjacency), source)
+
+
+def _sorted_neighbors(adjacency: Adjacency
+                      ) -> Dict[str, List[Tuple[str, float]]]:
+    """Each node's ``(neighbor, weight)`` pairs in neighbor-name order."""
+    return {node: sorted(nbrs.items()) for node, nbrs in adjacency.items()}
+
+
+def _shortest_paths(neighbors: Dict[str, List[Tuple[str, float]]],
+                    source: str) -> Tuple[Dict[str, float], Dict[str, str]]:
     dist: Dict[str, float] = {source: 0.0}
     first_hop: Dict[str, str] = {}
     heap: List[Tuple[float, str]] = [(0.0, source)]
@@ -44,8 +55,7 @@ def dijkstra(adjacency: Adjacency, source: str
         if node in done:
             continue
         done.add(node)
-        for nbr in sorted(adjacency.get(node, {})):
-            weight = adjacency[node][nbr]
+        for nbr, weight in neighbors.get(node, ()):
             if weight <= 0:
                 raise ValueError(
                     f"link weight must be positive: {node}->{nbr} = {weight}")
@@ -67,11 +77,16 @@ class RoutingTables:
         self._next: Dict[str, Dict[str, str]] = {}
 
     def recompute(self, adjacency: Adjacency, version: int) -> None:
-        """Rebuild every node's tables for topology ``version``."""
+        """Rebuild every node's tables for topology ``version``.
+
+        Neighbor lists are sorted once here and shared by every
+        source's Dijkstra run.
+        """
+        neighbors = _sorted_neighbors(adjacency)
         dist: Dict[str, Dict[str, float]] = {}
         nxt: Dict[str, Dict[str, str]] = {}
         for node in sorted(adjacency):
-            dist[node], nxt[node] = dijkstra(adjacency, node)
+            dist[node], nxt[node] = _shortest_paths(neighbors, node)
         self._dist, self._next = dist, nxt
         self.version = version
         self.recomputes += 1

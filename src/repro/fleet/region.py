@@ -154,12 +154,14 @@ class _AlwaysReachable:
 class _StubFabric:
     """Fabric stand-in for ``RegionSpec(fabric=False)`` scale shards.
 
-    Exposes the two surfaces the region consults — ``tors`` (empty, so
-    tor fault plans are rejected as unknown targets) and
-    ``tables.reachable`` (always true, so probes see storage up).
+    Exposes the surfaces the region consults — ``tors`` (empty, so
+    tor fault plans are rejected as unknown targets),
+    ``tables.reachable`` (always true, so probes see storage up) and
+    ``topology_version`` (constant: the stub's routes never change).
     """
 
     tors: Tuple[str, ...] = ()
+    topology_version = 0
 
     def __init__(self):
         self.tables = _AlwaysReachable()
@@ -203,7 +205,8 @@ class Region:
             sim, self.scheduler, policy=s.admission, audit=self.audit)
         self._itype = instance(s.instance_type)
 
-        # Physical truth the probes observe.
+        # Physical truth the probes observe; written only through
+        # _set_truth, so the next sweep re-probes what changed.
         self._server_up: Dict[str, bool] = {
             n: True for n in self._server_names}
         self._board_health: Dict[str, BoardHealth] = {
@@ -237,6 +240,15 @@ class Region:
         self._finalized = False
 
     # -- probes --------------------------------------------------------
+    def _set_truth(self, name: str, up: Optional[bool] = None,
+                   board: Optional[BoardHealth] = None) -> None:
+        """Change what ``name``'s probe observes, and unsettle it."""
+        if up is not None:
+            self._server_up[name] = up
+        if board is not None:
+            self._board_health[name] = board
+        self.health.unsettle(name)
+
     def _probe_ok(self, name: str) -> bool:
         """One fleet probe: power, board watchdogs, storage reachability."""
         return (self._server_up[name]
@@ -244,23 +256,44 @@ class Region:
                 and self.network.tables.reachable(name, STORAGE_NODE))
 
     def _probe_loop(self):
+        health = self.health
+        order = {name: i for i, name in enumerate(self._server_names)}
+        swept_version = None
         while True:
-            for name in self._server_names:
+            # A route change can cut any server off storage.
+            version = self.network.topology_version
+            if version != swept_version:
+                swept_version = version
+                for name in self._server_names:
+                    health.unsettle(name)
+            for name in sorted(health.unsettled(), key=order.__getitem__):
                 board = self._board_health[name]
                 if board is not BoardHealth.HEALTHY:
-                    self.health.ingest_board_health(name, board)
+                    health.ingest_board_health(name, board)
                 else:
-                    self.health.report_probe(name, self._probe_ok(name))
+                    health.report_probe(name, self._probe_ok(name))
             yield self.sim.timeout(self.spec.health.probe_interval_s)
 
     # -- churn ---------------------------------------------------------
     def start(self, probes: bool = True, arrivals: bool = True) -> None:
         """Spawn the probe sweep and the arrival process.
 
+        The sweep wakes every ``probe_interval_s`` and probes, in server
+        order, only the servers :meth:`FleetHealth.unsettled` names: the
+        first sweep probes every server, later ones those whose record
+        or probe inputs changed. A skipped server's record is HEALTHY
+        with no misses and a passed last probe, and its power, board
+        verdict and routes are what that probe saw (every change goes
+        through :meth:`_set_truth` or bumps the fabric's topology
+        version), so probing it would write nothing. No simulated time
+        passes within a sweep and a probe changes only its own server's
+        record, so the sweep is exact: records, transitions and audit
+        match a sweep of every server.
+
         Scale shards pass ``probes=False, arrivals=False`` and drive
         churn through an engine from :mod:`repro.fleet.churn` instead:
-        the probe sweep is O(servers) per interval, and plan-based
-        engines replace the default interleaved arrival loop.
+        plan-based engines replace the default interleaved arrival
+        loop.
         """
         if probes:
             self.sim.spawn(self._probe_loop(), name="region.probes")
@@ -388,12 +421,12 @@ class Region:
         if spec.kind == "rack_power":
             victims = self.rack_servers[spec.target]
             for name in victims:
-                self._server_up[name] = False
+                self._set_truth(name, up=False)
                 self._fault_onset.setdefault(name, self.sim.now)
                 self._mark_guests_down(name, cause="rack_power")
             yield self.sim.timeout(spec.duration_s)
             for name in victims:
-                self._server_up[name] = True
+                self._set_truth(name, up=True)
         elif spec.kind == "tor_down":
             rack = f"rack-{spec.target.split('-', 1)[1]}"
             for name in self.rack_servers[rack]:
@@ -403,11 +436,11 @@ class Region:
                 self._mark_guests_down(name, cause="tor_down")
             yield from self.network.crash_switch(spec.target, spec.duration_s)
         elif spec.kind == "correlated_board_hang":
-            self._board_health[spec.target] = BoardHealth.SUSPECT
+            self._set_truth(spec.target, board=BoardHealth.SUSPECT)
             self._fault_onset.setdefault(spec.target, self.sim.now)
             self._mark_guests_down(spec.target, cause="board_hang")
             yield self.sim.timeout(spec.duration_s)
-            self._board_health[spec.target] = BoardHealth.HEALTHY
+            self._set_truth(spec.target, board=BoardHealth.HEALTHY)
         else:  # unreachable: arm_plan filters kinds
             raise AssertionError(f"unhandled region kind {spec.kind!r}")
 

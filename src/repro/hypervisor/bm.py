@@ -19,6 +19,7 @@ does not, crash restart and live upgrade both rebuild it through
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -171,27 +172,38 @@ class BmHypervisor:
                 if self.workers:
                     self._spawn_queue_worker(queue)
         # Wire the doorbell into this queue's shadow vring, including
-        # shadows that do not exist yet. Mediated mode rings the shared
-        # bell and claims every new shadow of the port; passthrough
-        # rings the queue's own bell and claims only its own queue, so
-        # a publish wakes only the worker that owns the queue.
-        if self.passthrough:
-            ring, claims = self.queue_doorbells[key].ring, queue_index
-        else:
-            ring, claims = self.doorbell.ring, None
+        # shadows that do not exist yet: the port's hook claims each new
+        # shadow for the live worker (see _claim_shadow).
+        ring = self._ring_for(key)
         shadow = port.shadows.get(queue_index)
         if shadow is not None:
             shadow.on_publish = ring
             if shadow.registers.pending > 0:
                 ring()
+        port.on_shadow_created = functools.partial(
+            self._claim_shadow, port_name)
 
-        def wire(new_shadow, _previous=port.on_shadow_created):
-            if _previous is not None:
-                _previous(new_shadow)
-            if claims is None or new_shadow.queue_index == claims:
-                new_shadow.on_publish = ring
+    def _ring_for(self, key: Tuple[str, int]) -> Optional[Callable]:
+        """The doorbell a publish on queue ``key`` rings, if it has one.
 
-        port.on_shadow_created = wire
+        Mediated mode rings the shared bell for every queue of a port
+        with a handler; passthrough rings the queue's own bell, so a
+        publish wakes only the worker that owns the queue.
+        """
+        if not self.passthrough:
+            return self.doorbell.ring
+        bell = self.queue_doorbells.get(key)
+        return None if bell is None else bell.ring
+
+    def _claim_shadow(self, port_name: str, shadow) -> None:
+        """A port's shadow-created hook: wire the new shadow's doorbell.
+
+        Each registration sets (never chains) this hook, so a respawned
+        hypervisor replaces the dead one's hook instead of stacking on it.
+        """
+        ring = self._ring_for((port_name, shadow.queue_index))
+        if ring is not None:
+            shadow.on_publish = ring
 
     def start(self) -> None:
         """Spawn the workers of this hypervisor's layout."""

@@ -182,3 +182,85 @@ class TestRemediationPipeline:
                    if e.actor == "remediation"]
         assert actions == ["ticket_open", "drain_done", "ticket_close"]
         assert health.audit.verify()
+
+
+class TestUnsettledSet:
+    """Servers whose next probe could change their record."""
+
+    def _settle(self, health, name):
+        health.report_probe(name, True)
+        assert name not in health.unsettled()
+
+    def test_record_creation_unsettles(self, health):
+        assert health.unsettled() == frozenset()
+        health.state("s0")
+        assert health.unsettled() == {"s0"}
+
+    def test_clean_probe_on_healthy_record_settles(self, health):
+        health.report_probe("s0", True)
+        health.report_probe("s1", True)
+        assert health.unsettled() == frozenset()
+
+    def test_miss_unsettles(self, health):
+        self._settle(health, "s0")
+        health.report_probe("s0", False)
+        assert "s0" in health.unsettled()
+
+    def test_board_verdict_unsettles(self, health):
+        self._settle(health, "s1")
+        health.ingest_board_health("s1", BoardHealth.SUSPECT)
+        assert "s1" in health.unsettled()
+
+    def test_outside_transition_unsettles(self, health):
+        self._settle(health, "s2")
+        health.transition("s2", ServerHealthState.QUARANTINED,
+                          cause="operator")
+        assert "s2" in health.unsettled()
+
+    def test_unsettle_marks_known_servers_only(self, health):
+        health.unsettle("s0")
+        assert health.unsettled() == {"s0"}
+        with pytest.raises(KeyError, match="unknown server"):
+            health.unsettle("nope")
+
+    def test_suspect_recovery_settles_on_the_next_clean_probe(self, health):
+        health.report_probe("s0", False)
+        health.report_probe("s0", True)
+        assert health.state("s0") is ServerHealthState.HEALTHY
+        assert "s0" in health.unsettled()
+        self._settle(health, "s0")
+
+    def test_pipeline_owned_states_stay_unsettled(self, sim, health):
+        def drainer(server, ticket):
+            yield sim.timeout(1e-3)
+
+        RemediationPipeline(sim, health, drainer=drainer)
+        health.report_probe("s0", False)
+        health.report_probe("s0", False)
+        seen = []
+        while health.state("s0") is not ServerHealthState.HEALTHY:
+            health.report_probe("s0", True)
+            seen.append(health.state("s0"))
+            assert "s0" in health.unsettled()
+            sim.run(until=sim.now + 2.5e-4)
+        assert {ServerHealthState.QUARANTINED, ServerHealthState.DRAINING,
+                ServerHealthState.REPAIRING} <= set(seen)
+        # Readmitted but not yet probed clean: still unsettled.
+        assert "s0" in health.unsettled()
+        self._settle(health, "s0")
+
+    def test_first_sweep_creates_every_record(self):
+        from repro.fleet import Region, RegionSpec
+
+        sim = Simulator(seed=0)
+        region = Region(sim, RegionSpec(n_racks=2, servers_per_rack=2,
+                                        boards_per_server=4))
+        assert region.health._records == {}
+        region.start(arrivals=False)
+        sim.run(until=1e-3)
+        records = region.health._records
+        assert tuple(records) == region._server_names
+        assert all(r.state is ServerHealthState.HEALTHY
+                   and r.consecutive_misses == 0 and r.last_probe_ok
+                   for r in records.values())
+        assert region.health.unsettled() == frozenset()

@@ -66,6 +66,17 @@ def bellman_ford(adj, source):
 
 @given(adj=connected_graphs())
 @settings(max_examples=60, deadline=None)
+def test_recompute_tables_equal_per_source_dijkstra(adj):
+    tables = RoutingTables()
+    tables.recompute(adj, version=1)
+    for source in adj:
+        dist, first_hop = dijkstra(adj, source)
+        assert tables._dist[source] == dist
+        assert tables._next[source] == first_hop
+
+
+@given(adj=connected_graphs())
+@settings(max_examples=60, deadline=None)
 def test_dijkstra_matches_bellman_ford_on_random_graphs(adj):
     for source in adj:
         dist, first_hop = dijkstra(adj, source)

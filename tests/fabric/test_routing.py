@@ -13,6 +13,9 @@ _GRAPH = {
     "c": {"a": 3.0, "d": 1.0},
     "d": {"b": 1.0, "c": 1.0},
 }
+# A healthy a-b pair next to an island whose only link weighs zero.
+_BAD_ISLAND = {"a": {"b": 1.0}, "b": {"a": 1.0},
+               "x": {"y": 0.0}, "y": {"x": 0.0}}
 
 
 class TestDijkstra:
@@ -30,6 +33,12 @@ class TestDijkstra:
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValueError):
             dijkstra({"a": {"b": 0.0}, "b": {"a": 0.0}}, "a")
+
+    def test_unreached_bad_weight_is_not_checked(self):
+        # Weights are checked as nodes are popped, so a bad link in
+        # another component does not stop this source's run.
+        dist, _ = dijkstra(_BAD_ISLAND, "a")
+        assert dist == {"a": 0.0, "b": 1.0}
 
     def test_equal_cost_tie_breaks_deterministically(self):
         # Two equal-cost two-hop paths a-b-d / a-c-d: sorted relaxation
@@ -81,3 +90,13 @@ class TestRoutingTables:
         tables.recompute(pruned, version=2)
         assert tables.path("a", "d") == ["a", "c", "d"]
         assert tables.version == 2
+
+    def test_recompute_raises_dijkstras_error(self):
+        with pytest.raises(ValueError) as expected:
+            dijkstra(_BAD_ISLAND, "x")
+        tables = RoutingTables()
+        with pytest.raises(ValueError) as raised:
+            tables.recompute(_BAD_ISLAND, version=1)
+        assert str(raised.value) == str(expected.value) \
+            == "link weight must be positive: x->y = 0.0"
+        assert tables.version == -1 and tables.recomputes == 0

@@ -1,10 +1,13 @@
 """Passthrough-mode bm-hypervisor: per-queue workers and doorbells."""
 
+import functools
+
 import pytest
 
 from repro.backend.limits import RateLimits
 from repro.config.profile import HardwareProfile, QueueSpec
 from repro.core.server import BmHiveServer
+from repro.hypervisor import live_upgrade
 from repro.sim import Simulator
 from repro.virtio.blk import SECTOR_BYTES, VIRTIO_BLK_S_OK
 from repro.virtio.device import full_init
@@ -127,6 +130,27 @@ class TestPassthroughDataplane:
         if passthrough:
             assert f"bmhv.mq0.blk.q{N_QUEUES - 1}" in hv.workers
 
+
+    @pytest.mark.parametrize("passthrough", [False, True],
+                             ids=["mediated", "passthrough"])
+    def test_respawns_set_one_shadow_hook(self, passthrough):
+        sim, hive, guest, blk, bond, port, hv = _rig(passthrough)
+        live = hv
+        for version in ("2.0", "3.0", "4.0"):
+            live, _ = sim.run_process(live_upgrade(sim, live, version))
+        # The hook is the live hypervisor's method and holds nothing
+        # else: no earlier hook chained behind it.
+        hook = port.on_shadow_created
+        assert isinstance(hook, functools.partial)
+        assert hook.func.__self__ is live and hook.args == ("blk",)
+        assert not port.shadows
+        _kick_one_read_per_queue(sim, blk, bond, port)
+        for qi in range(N_QUEUES):
+            bell = live.queue_doorbells[("blk", qi)] if passthrough \
+                else live.doorbell
+            assert port.shadows[qi].on_publish == bell.ring
+            assert blk.queue(qi).get_used() is not None
+            assert live.queue_entries_handled[("blk", qi)] == 1
 
 class TestPassthroughSnapshot:
     def test_snapshot_round_trips_per_queue_state(self):
