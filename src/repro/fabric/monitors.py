@@ -13,7 +13,8 @@ fabric` pulls this package into the core server graph, and importing
   complete (every physically connected pair has a route), and
   *optimal* — the Bellman conditions ``dist(u,d) = w(u,next) +
   dist(next,d)`` and ``dist(u,d) <= w(u,v) + dist(v,d)`` over every up
-  edge are a shortest-path proof that does not rerun Dijkstra.
+  edge are a shortest-path proof that does not rerun Dijkstra. The
+  proof runs once per routing state; other samples repeat its verdict.
 * :class:`TransferConservationMonitor` checks no transfer is lost or
   duplicated: ``started == delivered + failed + in_flight`` at every
   instant, counters never rewind, and nothing is still in flight at
@@ -22,7 +23,7 @@ fabric` pulls this package into the core server graph, and importing
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
 
 __all__ = ["RoutingInvariantMonitor", "TransferConservationMonitor"]
 
@@ -49,23 +50,49 @@ def _components(adjacency: Dict[str, Dict[str, float]]) -> Dict[str, int]:
 
 
 class RoutingInvariantMonitor:
-    """Routing tables converge, are loop-free, complete, and optimal."""
+    """Routing tables converge, are loop-free, complete, and optimal.
+
+    The certificate costs O(pairs x degree), so it runs once per
+    routing state: a sample re-certifies only when the versions, the
+    live up-link adjacency or the computed trees differ from what it
+    last certified, and otherwise repeats that verdict. Comparing the
+    trees catches an entry edited in place without a version bump;
+    comparing the adjacency catches a link whose state changed without
+    a recompute.
+    """
 
     name = "fabric_routing"
 
     def __init__(self, network):
         self.network = network
+        self._certified = None  # (versions, adjacency, trees) last checked
+        self._verdict: List[str] = []
 
     def observe(self, sim) -> Iterable[str]:
-        out = []
         net = self.network
         tables = net.tables
         if tables.version != net.topology_version:
-            out.append(
-                f"tables at version {tables.version} but topology at "
-                f"{net.topology_version} (not converged)")
-            return out  # stale tables fail the remaining checks trivially
+            # Stale tables fail the remaining checks trivially.
+            return [f"tables at version {tables.version} but topology at "
+                    f"{net.topology_version} (not converged)"]
+        versions = (tables.version, net.topology_version)
         adjacency = net.adjacency()
+        certified = self._certified
+        if (certified is None or certified[0] != versions
+                or certified[1] != adjacency
+                or certified[2] != tables.trees()):
+            self._verdict = self._certify(tables, adjacency)
+            # The certificate looked up every pair, so every tree of
+            # this version is computed; keep a copy to compare against.
+            trees = {source: (dict(dist), dict(first_hop))
+                     for source, (dist, first_hop) in tables.trees().items()}
+            self._certified = (versions, adjacency, trees)
+        return list(self._verdict)
+
+    @staticmethod
+    def _certify(tables, adjacency: Dict[str, Dict[str, float]]
+                 ) -> List[str]:
+        out = []
         comp = _components(adjacency)
         nodes = sorted(adjacency)
         for dst in nodes:

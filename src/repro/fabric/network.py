@@ -5,8 +5,9 @@ TopologySpec` as simulation objects: one :class:`FabricLink` per edge
 of the Clos (each direction a serializing
 :class:`~repro.sim.resources.Resource`, so congestion is localized to
 the contended link), an adjacency map of *up* links, and
-:class:`~repro.fabric.routing.RoutingTables` recomputed eagerly on
-every topology change.
+:class:`~repro.fabric.routing.RoutingTables` that snapshot that map on
+every topology change and build each source's route tree on its first
+lookup.
 
 Transfers forward hop by hop, consulting the routing tables at every
 node — so a route recomputation mid-flight redirects the remaining
@@ -21,7 +22,7 @@ attached; link down/up spans always are.
 
 The network registers as a snapshot participant (``fabric:{name}``):
 link state, routing version, and transfer counters round-trip
-snapshot/restore, and tables are recomputed on restore.
+snapshot/restore, and the tables re-snapshot the adjacency on restore.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
-"""Link-state routing: deterministic Dijkstra over the live topology.
+"""Link-state routing: deterministic Dijkstra over a topology snapshot.
 
 The fabric runs the classic link-state protocol in zero simulated
 time: every node knows the full adjacency map (only *up* links are
-advertised), and :class:`RoutingTables` recomputes every node's
-next-hop and distance tables the instant the topology version bumps.
-Convergence is therefore atomic — there is never a window where two
-nodes forward on different topology views, which is exactly the
-property the chaos :class:`~repro.fabric.monitors.
+advertised). When the topology version bumps, :class:`RoutingTables`
+snapshots that map; a source's shortest-path tree is computed from the
+snapshot the first time anything asks for a route from it, then kept
+until the next bump. Convergence is therefore atomic — every answer
+at version v comes from v's adjacency, never from live link state, so
+there is never a window where two nodes forward on different topology
+views. That is the property the chaos :class:`~repro.fabric.monitors.
 RoutingInvariantMonitor` certifies from outside.
 
 Determinism: neighbors are relaxed in sorted name order and the heap
@@ -19,7 +21,8 @@ along any forwarded path.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 __all__ = ["dijkstra", "RoutingTables"]
 
@@ -67,27 +70,54 @@ def _shortest_paths(neighbors: Dict[str, List[Tuple[str, float]]],
     return dist, first_hop
 
 
+#: The tree of a source outside the snapshot: it reaches nothing.
+_NO_TREE: Tuple[Mapping[str, float], Mapping[str, str]] = (
+    MappingProxyType({}), MappingProxyType({}))
+
+
+class _Trees(dict):
+    """``source -> (dist, first_hop)`` over one snapshot, filled on demand.
+
+    A hit is one dict lookup; only a miss reaches :meth:`__missing__`,
+    which runs the source's Dijkstra and keeps its tree.
+    """
+
+    __slots__ = ("neighbors",)
+
+    def __init__(self, neighbors: Dict[str, List[Tuple[str, float]]]):
+        super().__init__()
+        self.neighbors = neighbors
+
+    def __missing__(self, source: str):
+        if source not in self.neighbors:
+            return _NO_TREE
+        tree = self[source] = _shortest_paths(self.neighbors, source)
+        return tree
+
+
 class RoutingTables:
     """Per-node next-hop/distance tables over the current adjacency."""
 
     def __init__(self):
         self.version = -1
         self.recomputes = 0
-        self._dist: Dict[str, Dict[str, float]] = {}
-        self._next: Dict[str, Dict[str, str]] = {}
+        self._trees = _Trees({})
 
     def recompute(self, adjacency: Adjacency, version: int) -> None:
-        """Rebuild every node's tables for topology ``version``.
+        """Adopt ``adjacency`` as topology ``version``'s snapshot.
 
-        Neighbor lists are sorted once here and shared by every
-        source's Dijkstra run.
+        Neighbor lists are sorted once here and the previous version's
+        trees are dropped; each source's tree is computed on its first
+        lookup. A non-positive weight raises here, with the error the
+        first failing source's Dijkstra gives, and leaves the tables
+        as they were.
         """
         neighbors = _sorted_neighbors(adjacency)
-        dist: Dict[str, Dict[str, float]] = {}
-        nxt: Dict[str, Dict[str, str]] = {}
-        for node in sorted(adjacency):
-            dist[node], nxt[node] = _shortest_paths(neighbors, node)
-        self._dist, self._next = dist, nxt
+        if any(weight <= 0
+               for nbrs in neighbors.values() for _, weight in nbrs):
+            for node in sorted(neighbors):
+                _shortest_paths(neighbors, node)
+        self._trees = _Trees(neighbors)
         self.version = version
         self.recomputes += 1
 
@@ -95,18 +125,18 @@ class RoutingTables:
         """The neighbor ``node`` forwards toward ``dst``; None if cut off."""
         if node == dst:
             return None
-        return self._next.get(node, {}).get(dst)
+        return self._trees[node][1].get(dst)
 
     def distance(self, node: str, dst: str) -> Optional[float]:
-        return self._dist.get(node, {}).get(dst)
+        return self._trees[node][0].get(dst)
 
     def reachable(self, node: str, dst: str) -> bool:
-        return node == dst or dst in self._next.get(node, {})
+        return node == dst or dst in self._trees[node][1]
 
     def path(self, src: str, dst: str) -> Optional[List[str]]:
         """The forwarding walk ``src -> ... -> dst``; None on partition."""
         node, walk = src, [src]
-        limit = len(self._next) + 1
+        limit = len(self._trees.neighbors) + 1
         while node != dst:
             node = self.next_hop(node, dst)
             if node is None or len(walk) > limit:
@@ -114,6 +144,10 @@ class RoutingTables:
             walk.append(node)
         return walk
 
+    def trees(self) -> Mapping[str, Tuple[Dict[str, float], Dict[str, str]]]:
+        """The ``(dist, first_hop)`` trees computed so far at this version."""
+        return self._trees
+
     @property
     def nodes(self) -> Tuple[str, ...]:
-        return tuple(self._next)
+        return tuple(sorted(self._trees.neighbors))

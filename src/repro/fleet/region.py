@@ -79,10 +79,11 @@ class RegionSpec:
     instance_type: str = "ebm.e5.32ht"
     n_tenants: int = 64
     # Build the Clos fabric and routing tables. Scale shards
-    # (experiments/region_scale.py) turn this off: attach-time route
-    # recomputation is quadratic in servers, and a fault-free churn
-    # benchmark never consults the fabric. With the stub, probes treat
-    # storage as always reachable and tor faults cannot be armed.
+    # (experiments/region_scale.py) turn this off: every attach
+    # re-snapshots the whole adjacency, so building stays quadratic in
+    # servers, and a fault-free churn benchmark never consults the
+    # fabric. With the stub, probes treat storage as always reachable
+    # and tor faults cannot be armed.
     fabric: bool = True
     migration_s: float = 2e-3     # per-guest move time during drain
     drain_retry_s: float = 5e-3   # back-off while waiting for capacity
@@ -253,7 +254,9 @@ class Region:
         """One fleet probe: power, board watchdogs, storage reachability."""
         return (self._server_up[name]
                 and self._board_health[name] is BoardHealth.HEALTHY
-                and self.network.tables.reachable(name, STORAGE_NODE))
+                # Up links are symmetric, so one storage-rooted tree
+                # per topology version answers every server's probe.
+                and self.network.tables.reachable(STORAGE_NODE, name))
 
     def _probe_loop(self):
         health = self.health

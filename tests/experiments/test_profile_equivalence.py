@@ -13,7 +13,10 @@ folded into one backend handler and one guest driver; they pin the
 experiments that drive that path through real rings. The
 ``region_resilience`` rows were captured before the region's probe
 sweep started skipping settled servers; its BENCH columns round the
-latencies and cannot show a row change.
+latencies and cannot show a row change. The ``cross_rack`` and
+``incast`` rows were captured before route trees became lazy, per
+source and per topology version; a changed tie-break would move their
+paths, which their BENCH entries cannot show.
 """
 
 import json
@@ -29,7 +32,8 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
                            "golden_paper_profile.json")
 GOLDEN_EXPERIMENTS = ("iobond_micro", "fig9", "fig11", "table1", "fig7",
                       "mq_ablation", "fault_isolation", "future_work",
-                      "chaos_campaign", "region_resilience")
+                      "chaos_campaign", "region_resilience", "cross_rack",
+                      "incast")
 
 # Clocks from a deterministic pre-refactor run on make_testbed(seed=123):
 # sim.now after a 32-packet net burst plus one bm blk read and one vm blk

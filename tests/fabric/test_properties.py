@@ -71,8 +71,14 @@ def test_recompute_tables_equal_per_source_dijkstra(adj):
     tables.recompute(adj, version=1)
     for source in adj:
         dist, first_hop = dijkstra(adj, source)
-        assert tables._dist[source] == dist
-        assert tables._next[source] == first_hop
+        for dst in adj:
+            assert tables.distance(source, dst) == dist.get(dst)
+            assert tables.next_hop(source, dst) == (
+                None if dst == source else first_hop.get(dst))
+            assert tables.reachable(source, dst) == (dst in dist)
+            walk = tables.path(source, dst)
+            assert walk[0] == source and walk[-1] == dst
+            assert walk[1:2] == ([] if dst == source else [first_hop[dst]])
 
 
 @given(adj=connected_graphs())

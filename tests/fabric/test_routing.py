@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fabric import RoutingTables, dijkstra
+from tests.fabric.reference_routing import EagerRoutingTables
 
 # A small asymmetric graph with one strictly-shortest detour:
 #   a --1-- b --1-- d        a->d best is a-b-d (2.0)
@@ -100,3 +101,25 @@ class TestRoutingTables:
         assert str(raised.value) == str(expected.value) \
             == "link weight must be positive: x->y = 0.0"
         assert tables.version == -1 and tables.recomputes == 0
+
+    def test_recompute_raises_the_eager_tables_error(self):
+        # The on-demand tables check weights at recompute time, so a
+        # bad weight raises where the eager reference raises, with the
+        # same message, and leaves both tables unconverged.
+        reference, tables = EagerRoutingTables(), RoutingTables()
+        with pytest.raises(ValueError) as expected:
+            reference.recompute(_BAD_ISLAND, version=1)
+        with pytest.raises(ValueError) as raised:
+            tables.recompute(_BAD_ISLAND, version=1)
+        assert str(raised.value) == str(expected.value)
+        assert tables.version == reference.version == -1
+        assert tables.recomputes == reference.recomputes == 0
+
+    def test_failed_recompute_keeps_the_previous_version(self):
+        tables = RoutingTables()
+        tables.recompute(_GRAPH, version=1)
+        with pytest.raises(ValueError):
+            tables.recompute(_BAD_ISLAND, version=2)
+        assert tables.version == 1
+        assert tables.path("a", "d") == ["a", "b", "d"]
+        assert tables.nodes == ("a", "b", "c", "d")
