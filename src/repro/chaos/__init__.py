@@ -8,12 +8,12 @@ spirit of LiveStack's continuously-checked full-stack simulations:
   faults.spec.FaultPlan` s (kind mix, targets, timing, bursts) from a
   dedicated seeded stream, inside envelopes the recovery datapaths are
   expected to absorb;
-* :mod:`repro.chaos.monitors` — pluggable invariant monitors that
-  check cross-layer properties *during* the run (exactly-once used-ring
-  delivery, shadow-vring cursor monotonicity and conservation,
-  PCIe/DMA counter sanity, availability-span consistency) plus an
-  end-of-run quiescence audit built on :meth:`repro.sim.Simulator.
-  audit`;
+* :mod:`repro.chaos.monitors` — invariant monitors on the
+  :class:`repro.sim.InvariantMonitor` base that check cross-layer
+  properties *during* the run (exactly-once used-ring delivery,
+  shadow-vring cursor monotonicity and conservation, PCIe/DMA counter
+  sanity, availability-span consistency) plus an end-of-run quiescence
+  audit built on :meth:`repro.sim.Simulator.audit`;
 * :mod:`repro.chaos.oracle` — a differential oracle comparing guests
   untouched by the plan float-for-float against a fault-free baseline;
 * :mod:`repro.chaos.runner` — wires a multi-guest testbed, arms the
@@ -32,12 +32,9 @@ from repro.chaos.monitors import (
     AvailabilityMonitor,
     ConservationMonitor,
     ExactlyOnceRingMonitor,
-    InvariantMonitor,
-    MonitorSuite,
     QuiescenceMonitor,
     RegressionProbeMonitor,
     ShadowSyncMonitor,
-    Violation,
 )
 from repro.chaos.oracle import DifferentialOracle
 from repro.chaos.runner import (CampaignOutcome, CampaignRunner, ScenarioSpec,
@@ -47,9 +44,6 @@ from repro.chaos.shrink import ShrinkOutcome, shrink_plan
 __all__ = [
     "CampaignConfig",
     "CampaignGenerator",
-    "InvariantMonitor",
-    "MonitorSuite",
-    "Violation",
     "ExactlyOnceRingMonitor",
     "ShadowSyncMonitor",
     "ConservationMonitor",

@@ -201,9 +201,6 @@ class CampaignGenerator:
         faults = self._enforce_crash_spacing(faults)
         return FaultPlan(faults=tuple(sorted(faults, key=lambda f: f.at_s)))
 
-    def plans(self, seeds) -> List[FaultPlan]:
-        return [self.plan(seed) for seed in seeds]
-
     # -- sampling helpers ----------------------------------------------
     def _spec(self, rng, kind: str, at_s: float) -> FaultSpec:
         cfg = self.config

@@ -1,44 +1,27 @@
-"""Runtime invariant monitors: cross-layer safety checked *during* runs.
+"""The datapath's invariant monitors (DESIGN.md §8).
 
-Each monitor watches one protocol boundary of the BM-Hive stack and
-knows the invariant that must hold there at every instant — not just in
-the final state. A :class:`MonitorSuite` samples all of them from one
-periodic read-only process, so a transient violation (a used-ring
-double delivery that a later retry happens to mask, a shadow entry
-briefly lost between buckets) is caught at the sample after it happens,
-with the simulated timestamp attached.
-
-Determinism contract
---------------------
-Monitors are **read-only**: they never mutate model state, never draw
-from an RNG stream, and never block a model process. The sampling
-process does add its own timeout events to the heap, but those events
-cannot reorder any other events relative to each other, and both the
-chaos run and its fault-free baseline install the identical suite — so
-the differential oracle always compares like with like.
+Six monitors on the :class:`repro.sim.InvariantMonitor` base, each on
+one protocol boundary of the BM-Hive stack: the guest vring, the IO-Bond
+shadow vring, PCIe/DMA and rate-limiter conservation, availability
+accounting, end-of-run quiescence, plus a deliberately broken probe for
+the shrink pipeline. Like every monitor they are read-only (see
+:mod:`repro.sim.monitors`).
 
 (The one temptation worth calling out: ``TokenBucket.tokens`` *refills*
 the bucket as a side effect of reading. The conservation monitor reads
 the raw ``_tokens`` field instead — a stale-but-bounded value — exactly
 to stay read-only.)
-
-Adding a monitor
-----------------
-Subclass :class:`InvariantMonitor`, implement ``observe`` (called at
-every sample; yield violation messages) and/or ``at_end`` (called once
-after the run and ``AvailabilityAccounting.finalize``), give it a
-``name``, and pass an instance to the suite. See DESIGN.md §8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
+
+from repro.sim import InvariantMonitor
+# perfbench's region_failover workload imports the suite from here.
+from repro.sim import MonitorSuite  # noqa: F401
 
 __all__ = [
-    "Violation",
-    "InvariantMonitor",
-    "MonitorSuite",
     "ExactlyOnceRingMonitor",
     "ShadowSyncMonitor",
     "ConservationMonitor",
@@ -48,97 +31,6 @@ __all__ = [
 ]
 
 _EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant breach, stamped with the simulated time."""
-
-    monitor: str
-    at_s: float
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.at_s * 1e3:9.4f} ms] {self.monitor}: {self.message}"
-
-
-class InvariantMonitor:
-    """Base class: a named, read-only observer of one invariant."""
-
-    name = "invariant"
-
-    def observe(self, sim) -> Iterable[str]:
-        """Check the invariant now; yield one message per breach."""
-        return ()
-
-    def at_end(self, sim) -> Iterable[str]:
-        """End-of-run check, after the final clock and ``finalize``."""
-        return ()
-
-
-class MonitorSuite:
-    """Runs every monitor from one periodic sampling process.
-
-    ``finish`` must be called after the final ``sim.run`` (and after
-    ``AvailabilityAccounting.finalize``): it takes a last sample and
-    runs each monitor's end-of-run check. Violations are capped per
-    monitor so a systemic breach yields a readable report instead of
-    one entry per sample.
-    """
-
-    def __init__(self, sim, monitors: List[InvariantMonitor],
-                 period_s: float = 250e-6, max_per_monitor: int = 20):
-        if period_s <= 0:
-            raise ValueError(f"sample period must be positive, got {period_s}")
-        self.sim = sim
-        self.monitors = list(monitors)
-        self.period_s = period_s
-        self.max_per_monitor = max_per_monitor
-        self.violations: List[Violation] = []
-        self.samples = 0
-        self._counts: Dict[str, int] = {}
-        self._started = False
-
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("monitor suite already started")
-        self._started = True
-        self.sim.spawn(self._sample_loop(), name="chaos.monitors")
-
-    def _sample_loop(self):
-        while True:
-            self.sample()
-            yield self.sim.timeout(self.period_s)
-
-    def sample(self) -> None:
-        self.samples += 1
-        for monitor in self.monitors:
-            for message in monitor.observe(self.sim):
-                self._record(monitor.name, message)
-
-    def finish(self) -> None:
-        """Final sample + end-of-run checks; call once after the run."""
-        self.sample()
-        for monitor in self.monitors:
-            for message in monitor.at_end(self.sim):
-                self._record(monitor.name, message)
-
-    def _record(self, name: str, message: str) -> None:
-        count = self._counts.get(name, 0)
-        self._counts[name] = count + 1
-        if count < self.max_per_monitor:
-            self.violations.append(Violation(name, self.sim.now, message))
-        elif count == self.max_per_monitor:
-            self.violations.append(Violation(
-                name, self.sim.now,
-                f"further violations suppressed after {count}"))
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def report(self) -> List[str]:
-        return [str(v) for v in self.violations]
 
 
 class ExactlyOnceRingMonitor(InvariantMonitor):

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.chaos.campaign import CampaignConfig, CampaignGenerator
-from repro.chaos.monitors import MonitorSuite, Violation
 from repro.faults.spec import FaultPlan
 from repro.fleet.monitors import region_monitors
 from repro.fleet.region import Region, RegionSpec
-from repro.sim import Simulator
+from repro.sim import MonitorSuite, Simulator, Violation
 
 __all__ = ["RegionCampaignOutcome", "RegionCampaignRunner"]
 

@@ -24,11 +24,9 @@ from repro.chaos.monitors import (
     AvailabilityMonitor,
     ConservationMonitor,
     ExactlyOnceRingMonitor,
-    MonitorSuite,
     QuiescenceMonitor,
     RegressionProbeMonitor,
     ShadowSyncMonitor,
-    Violation,
 )
 from repro.chaos.oracle import DifferentialOracle
 from repro.chaos.shrink import shrink_plan
@@ -46,7 +44,7 @@ from repro.faults import (
     RingBlkLoad,
     Supervisor,
 )
-from repro.sim import Simulator
+from repro.sim import MonitorSuite, Simulator, Violation
 from repro.sim.trace import Tracer
 from repro.virtio.reliability import RetryPolicy
 

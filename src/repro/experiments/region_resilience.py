@@ -19,8 +19,10 @@ plane must:
 * never place a guest on a quarantined server, and close every
   remediation ticket before the run ends.
 
-The invariant monitors (:mod:`repro.fleet.monitors`) sample those
-properties *during* the run; the checks below assert them end-state.
+The drill runs through :class:`~repro.chaos.region.RegionCampaignRunner`
+with one hand-written plan. The invariant monitors it installs
+(:mod:`repro.fleet.monitors`) sample those properties *during* the run;
+the checks below assert them end-state.
 Rows report per-tier availability plus the remediation latency
 breakdown (detect → drain → full remediation), which is also what
 :mod:`scripts.export_bench` lifts into the perf trajectory.
@@ -30,13 +32,11 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.chaos.monitors import MonitorSuite
+from repro.chaos.region import RegionCampaignRunner
 from repro.cloud.admission import TIERS
 from repro.experiments.base import ExperimentResult, check
 from repro.faults.spec import FaultPlan, FaultSpec
-from repro.fleet.monitors import region_monitors
-from repro.fleet.region import Region, RegionSpec
-from repro.sim import Simulator
+from repro.fleet.region import RegionSpec
 
 EXPERIMENT_ID = "region_resilience"
 TITLE = "Region control-plane resilience under a rack power fault"
@@ -61,19 +61,12 @@ def _spec(quick: bool) -> RegionSpec:
 
 def run(seed: int = 0, quick: bool = True) -> ExperimentResult:
     spec = _spec(quick)
-    sim = Simulator(seed=seed)
-    region = Region(sim, spec)
-    suite = MonitorSuite(sim, region_monitors(region),
-                         period_s=MONITOR_PERIOD_S)
-    suite.start()
-    region.start()
     plan = FaultPlan.of(FaultSpec(
         kind="rack_power", target=FAULT_RACK,
         at_s=FAULT_AT_S, duration_s=FAULT_DURATION_S))
-    region.arm_plan(plan)
-    sim.run(until=spec.duration_s)
-    region.finalize()
-    suite.finish()
+    outcome = RegionCampaignRunner(
+        spec, monitor_period_s=MONITOR_PERIOD_S).run(seed, plan)
+    region, suite = outcome.region, outcome.suite
 
     report = region.report()
     tiers = report["tiers"]

@@ -1,12 +1,7 @@
-"""Chaos invariant monitors for the fabric (DESIGN.md §8 contract).
+"""Invariant monitors for the fabric (DESIGN.md §8, §12).
 
-Both monitors are read-only observers implementing the
-:class:`repro.chaos.monitors.InvariantMonitor` contract (``name``,
-``observe``, ``at_end``) without importing it — :mod:`repro.backend.
-fabric` pulls this package into the core server graph, and importing
-:mod:`repro.chaos` from here would close an import cycle through
-``chaos.runner`` -> ``core.server``. They install into any
-:class:`~repro.chaos.monitors.MonitorSuite` unchanged:
+Both are read-only :class:`repro.sim.InvariantMonitor` subclasses and
+install into any :class:`~repro.sim.MonitorSuite`:
 
 * :class:`RoutingInvariantMonitor` certifies the routing tables at
   every sample: converged to the current topology version, loop-free,
@@ -24,6 +19,8 @@ fabric` pulls this package into the core server graph, and importing
 from __future__ import annotations
 
 from typing import Dict, Iterable, List
+
+from repro.sim import InvariantMonitor
 
 __all__ = ["RoutingInvariantMonitor", "TransferConservationMonitor"]
 
@@ -49,7 +46,7 @@ def _components(adjacency: Dict[str, Dict[str, float]]) -> Dict[str, int]:
     return comp
 
 
-class RoutingInvariantMonitor:
+class RoutingInvariantMonitor(InvariantMonitor):
     """Routing tables converge, are loop-free, complete, and optimal.
 
     The certificate costs O(pairs x degree), so it runs once per
@@ -148,7 +145,7 @@ class RoutingInvariantMonitor:
         return ()
 
 
-class TransferConservationMonitor:
+class TransferConservationMonitor(InvariantMonitor):
     """Every transfer is delivered or failed exactly once, never both."""
 
     name = "fabric_transfers"

@@ -1,8 +1,8 @@
 """Invariant monitors for region-scale remediation (DESIGN.md §13).
 
-Three read-only monitors ride the :class:`~repro.chaos.monitors.
-MonitorSuite` sampling loop during a region drill and assert the
-remediation contract *while it runs*:
+Three read-only monitors ride the :class:`~repro.sim.MonitorSuite`
+sampling loop during a region drill and assert the remediation contract
+*while it runs*:
 
 * :class:`QuarantinePlacementMonitor` — placement never selects a
   quarantined server;
@@ -11,7 +11,7 @@ remediation contract *while it runs*:
 * :class:`TierSheddingMonitor` — breaker shedding is tier-ordered and
   downward-closed, and premium is never shed.
 
-Like every chaos monitor they only read counters and dict views —
+Like every monitor they only read counters and dict views —
 no RNG draws, no model mutation, no blocking — so installing them
 never perturbs the event schedule they observe.
 """
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.chaos.monitors import InvariantMonitor
 from repro.cloud.admission import TIERS
+from repro.sim import InvariantMonitor
 
 __all__ = [
     "QuarantinePlacementMonitor",

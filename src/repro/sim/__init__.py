@@ -3,7 +3,8 @@
 The kernel is the substrate for every hardware and software model in
 this reproduction: generator-based processes, a calendar event queue,
 shared resources, token-bucket rate limiters, named random streams,
-and latency summaries.
+latency summaries, and the invariant-monitor interface every layer's
+monitors share.
 """
 
 from repro.sim.core import (
@@ -19,6 +20,7 @@ from repro.sim.core import (
 from repro.sim.doorbell import Doorbell, idle_skip_default, set_idle_skip_default
 from repro.sim.queue import CalendarQueue
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.monitors import InvariantMonitor, MonitorSuite, Violation
 from repro.sim.process import Process
 from repro.sim.resources import Resource, TokenBucket
 from repro.sim.trace import PointEvent, Span, Tracer
@@ -51,4 +53,7 @@ __all__ = [
     "Tracer",
     "Span",
     "PointEvent",
+    "InvariantMonitor",
+    "MonitorSuite",
+    "Violation",
 ]

@@ -6,8 +6,6 @@ from repro.chaos.monitors import (
     AvailabilityMonitor,
     ConservationMonitor,
     ExactlyOnceRingMonitor,
-    InvariantMonitor,
-    MonitorSuite,
     QuiescenceMonitor,
     RegressionProbeMonitor,
     ShadowSyncMonitor,
@@ -15,7 +13,7 @@ from repro.chaos.monitors import (
 from repro.faults import AvailabilityAccounting
 from repro.faults.spec import FaultSpec
 from repro.iobond.shadow import ShadowVring
-from repro.sim import Simulator
+from repro.sim import InvariantMonitor, MonitorSuite, Simulator
 from repro.sim.resources import TokenBucket
 from repro.virtio.vring import VirtQueue
 

@@ -11,13 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.monitors import MonitorSuite
 from repro.chaos.region import RegionCampaignRunner
 from repro.cloud.health import FleetHealth
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import Region, RegionSpec
-from repro.fleet.monitors import region_monitors
-from repro.sim import Simulator
 from tests.fleet.reference_probes import full_sweep, reference_probes
 
 SHIPPED_SWEEP = Region._probe_loop
@@ -47,16 +44,8 @@ def _drill(monkeypatch, loop, spec, plan, seed=0):
     """Run ``spec`` under ``plan`` with ``loop`` as the probe sweep."""
     log = []
     monkeypatch.setattr(Region, "_probe_loop", _recorded(loop, log))
-    sim = Simulator(seed=seed)
-    region = Region(sim, spec)
-    suite = MonitorSuite(sim, region_monitors(region), period_s=50e-3)
-    suite.start()
-    region.start()
-    region.arm_plan(plan)
-    sim.run(until=spec.duration_s)
-    region.finalize()
-    suite.finish()
-    return region, suite, log
+    outcome = RegionCampaignRunner(spec).run(seed, plan)
+    return outcome.region, outcome.suite, log
 
 
 class TestCampaignReports:
