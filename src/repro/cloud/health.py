@@ -131,7 +131,10 @@ class FleetHealth:
     and ``last_probe_ok`` True, so repeating that probe writes nothing
     new. Record creation, every state change, every miss and
     :meth:`unsettle` (the caller's signal that what a probe observes
-    has changed) make it unsettled again.
+    has changed) make it unsettled again, and each calls
+    ``on_unsettle`` when set: a probe sweep parked on a settled fleet
+    rings its doorbell there. Queries only read: a server never probed
+    has no record and reads as HEALTHY with a passed last probe.
     """
 
     def __init__(self, sim, scheduler, policy: Optional[HealthPolicy] = None,
@@ -143,6 +146,7 @@ class FleetHealth:
         self.accounting = accounting
         self._records: Dict[str, _ServerHealth] = {}
         self._unsettled: Set[str] = set()
+        self.on_unsettle: Optional[Callable[[], None]] = None
         self._listeners: List[Callable] = []
         self.quarantines = 0
         self.readmissions = 0
@@ -159,24 +163,38 @@ class FleetHealth:
             raise KeyError(f"unknown server {name!r}; servers: {known}")
 
     def _record(self, name: str) -> _ServerHealth:
+        """``name``'s record for a write, created on first use."""
         record = self._records.get(name)
         if record is None:
             self._check_known(name)
             record = self._records[name] = _ServerHealth(name=name)
-            self._unsettled.add(name)
+            self._unsettle(name)
         return record
+
+    def _unsettle(self, name: str) -> None:
+        self._unsettled.add(name)
+        if self.on_unsettle is not None:
+            self.on_unsettle()
 
     def unsettle(self, name: str) -> None:
         """Mark ``name`` for re-probing: what its probe sees changed."""
         self._check_known(name)
-        self._unsettled.add(name)
+        self._unsettle(name)
 
     # -- queries -------------------------------------------------------
     def state(self, name: str) -> ServerHealthState:
-        return self._record(name).state
+        record = self._records.get(name)
+        if record is None:
+            self._check_known(name)
+            return ServerHealthState.HEALTHY
+        return record.state
 
     def last_probe_ok(self, name: str) -> bool:
-        return self._record(name).last_probe_ok
+        record = self._records.get(name)
+        if record is None:
+            self._check_known(name)
+            return True
+        return record.last_probe_ok
 
     def unsettled(self) -> FrozenSet[str]:
         """Servers whose next probe could change their record."""
@@ -210,7 +228,7 @@ class FleetHealth:
                 f"illegal health transition {frm.value} -> {to.value} "
                 f"for {name!r}")
         record.state = to
-        self._unsettled.add(name)
+        self._unsettle(name)
         if self.audit is not None:
             self.audit.record(
                 "fleet-health", "health_transition", name,
@@ -257,7 +275,7 @@ class FleetHealth:
             else:
                 self._unsettled.discard(name)
             return record.state
-        self._unsettled.add(name)
+        self._unsettle(name)
         self.probe_misses += 1
         record.consecutive_misses += 1
         if record.state is ServerHealthState.HEALTHY:

@@ -6,8 +6,8 @@ of the Clos (each direction a serializing
 :class:`~repro.sim.resources.Resource`, so congestion is localized to
 the contended link), an adjacency map of *up* links, and
 :class:`~repro.fabric.routing.RoutingTables` that snapshot that map on
-every topology change and build each source's route tree on its first
-lookup.
+every topology change (an attach patches the snapshot with its one new
+link) and build each source's route tree on its first lookup.
 
 Transfers forward hop by hop, consulting the routing tables at every
 node — so a route recomputation mid-flight redirects the remaining
@@ -199,8 +199,13 @@ class FabricNetwork:
         rack = len(self._servers) % self.spec.n_racks
         ip = self.ip.assign(name, rack)
         self._servers.append(name)
-        self._add_link(name, f"tor-{rack}", self.spec.host_link_gbps)
-        self._recompute()
+        tor = f"tor-{rack}"
+        link = self._add_link(name, tor, self.spec.host_link_gbps)
+        # One new leaf link: patch the routing snapshot rather than
+        # re-reading every link, so building a region stays linear.
+        self.topology_version += 1
+        self.tables.attach(name, tor, link.latency_s, self.topology_version)
+        self._notify()
         return ip
 
     @property
@@ -247,6 +252,9 @@ class FabricNetwork:
     def _recompute(self) -> None:
         self.topology_version += 1
         self.tables.recompute(self.adjacency(), self.topology_version)
+        self._notify()
+
+    def _notify(self) -> None:
         for callback in self._listeners:
             callback(self)
 
@@ -439,5 +447,4 @@ class FabricNetwork:
         self._delivered_ids = set(state["delivered_ids"])
         self._ids = itertools.count(self.transfers_started)
         self.tables.recompute(self.adjacency(), self.topology_version)
-        for callback in self._listeners:
-            callback(self)
+        self._notify()

@@ -3,9 +3,10 @@
 The fabric runs the classic link-state protocol in zero simulated
 time: every node knows the full adjacency map (only *up* links are
 advertised). When the topology version bumps, :class:`RoutingTables`
-snapshots that map; a source's shortest-path tree is computed from the
-snapshot the first time anything asks for a route from it, then kept
-until the next bump. Convergence is therefore atomic — every answer
+snapshots that map (or, for a newly attached leaf, patches the previous
+snapshot with its one link); a source's shortest-path tree is computed
+from the snapshot the first time anything asks for a route from it,
+then kept until the next bump. Convergence is therefore atomic — every answer
 at version v comes from v's adjacency, never from live link state, so
 there is never a window where two nodes forward on different topology
 views. That is the property the chaos :class:`~repro.fabric.monitors.
@@ -20,6 +21,7 @@ along any forwarded path.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -70,6 +72,13 @@ def _shortest_paths(neighbors: Dict[str, List[Tuple[str, float]]],
     return dist, first_hop
 
 
+def _raise_on_bad_weight(neighbors: Dict[str, List[Tuple[str, float]]]
+                         ) -> None:
+    """Raise the error the first failing source's Dijkstra gives."""
+    for node in sorted(neighbors):
+        _shortest_paths(neighbors, node)
+
+
 #: The tree of a source outside the snapshot: it reaches nothing.
 _NO_TREE: Tuple[Mapping[str, float], Mapping[str, str]] = (
     MappingProxyType({}), MappingProxyType({}))
@@ -115,8 +124,30 @@ class RoutingTables:
         neighbors = _sorted_neighbors(adjacency)
         if any(weight <= 0
                for nbrs in neighbors.values() for _, weight in nbrs):
-            for node in sorted(neighbors):
-                _shortest_paths(neighbors, node)
+            _raise_on_bad_weight(neighbors)
+        self._adopt(neighbors, version)
+
+    def attach(self, node: str, neighbor: str, weight: float,
+               version: int) -> None:
+        """Adopt ``version``: this snapshot plus a new node ``node``
+        with one up link, of ``weight``, to ``neighbor``.
+
+        Equal to :meth:`recompute` on the adjacency with that link
+        added, when this snapshot is the adjacency without it: only
+        ``neighbor``'s list gains an entry, so no other list is read
+        or sorted. The previous snapshot is left as it was.
+        """
+        neighbors = dict(self._trees.neighbors)
+        neighbors[node] = [(neighbor, weight)]
+        entries = list(neighbors.get(neighbor, ()))
+        bisect.insort(entries, (node, weight))
+        neighbors[neighbor] = entries
+        if weight <= 0:
+            _raise_on_bad_weight(neighbors)
+        self._adopt(neighbors, version)
+
+    def _adopt(self, neighbors: Dict[str, List[Tuple[str, float]]],
+               version: int) -> None:
         self._trees = _Trees(neighbors)
         self.version = version
         self.recomputes += 1

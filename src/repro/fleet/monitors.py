@@ -11,9 +11,11 @@ sampling loop during a region drill and assert the remediation contract
 * :class:`TierSheddingMonitor` — breaker shedding is tier-ordered and
   downward-closed, and premium is never shed.
 
-Like every monitor they only read counters and dict views —
-no RNG draws, no model mutation, no blocking — so installing them
-never perturbs the event schedule they observe.
+Like every monitor they only read counters, dict views and health
+states (:meth:`~repro.cloud.health.FleetHealth.state` creates no
+record and unsettles no server) — no RNG draws, no model mutation, no
+blocking — so installing them never perturbs the event schedule they
+observe.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.cloud.admission import TIERS
+from repro.cloud.health import ServerHealthState
 from repro.sim import InvariantMonitor
 
 __all__ = [
@@ -29,6 +32,14 @@ __all__ = [
     "TierSheddingMonitor",
     "region_monitors",
 ]
+
+
+_HEALTHY = ServerHealthState.HEALTHY
+_PIPELINE_OWNED = frozenset({
+    ServerHealthState.QUARANTINED,
+    ServerHealthState.DRAINING,
+    ServerHealthState.REPAIRING,
+})
 
 
 class QuarantinePlacementMonitor(InvariantMonitor):
@@ -43,18 +54,22 @@ class QuarantinePlacementMonitor(InvariantMonitor):
         count = self.region.placements_on_quarantined
         if count:
             yield (f"{count} placement(s) landed on quarantined servers")
-        # Structural cross-check: the scheduler's quarantine set and the
-        # health model's pipeline-owned states must agree.
-        quarantined = set(self.region.scheduler.quarantined_servers())
-        for name in sorted(self.region.scheduler.servers):
-            state = self.region.health.state(name).value
-            if name in quarantined and state == "healthy":
+        # Structural cross-check: the scheduler's quarantine flags and
+        # the health model's pipeline-owned states must agree. One
+        # unsorted pass; sorting only when something disagrees.
+        state = self.region.health.state
+        servers = self.region.scheduler.servers
+        disagree = [
+            name for name, server in servers.items()
+            if (state(name) is _HEALTHY if server.quarantined
+                else state(name) in _PIPELINE_OWNED)]
+        for name in sorted(disagree):
+            if servers[name].quarantined:
                 yield (f"{name} is scheduler-quarantined but "
                        f"health-state healthy")
-            if name not in quarantined and state in (
-                    "quarantined", "draining", "repairing"):
-                yield (f"{name} is health-state {state} but still in the "
-                       f"placement pool")
+            else:
+                yield (f"{name} is health-state {state(name).value} but "
+                       f"still in the placement pool")
 
 
 class DrainExactlyOnceMonitor(InvariantMonitor):

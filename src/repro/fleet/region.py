@@ -23,6 +23,7 @@ plan → byte-identical :meth:`Region.report`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -46,6 +47,7 @@ from repro.fabric.topology import TopologySpec
 from repro.faults.accounting import AvailabilityAccounting
 from repro.faults.spec import REGION_KINDS, FaultPlan, FaultSpec
 from repro.hypervisor.health import BoardHealth
+from repro.sim import Doorbell
 
 __all__ = ["RegionSpec", "RegionGuest", "Region", "ARRIVAL_STREAM"]
 
@@ -79,11 +81,10 @@ class RegionSpec:
     instance_type: str = "ebm.e5.32ht"
     n_tenants: int = 64
     # Build the Clos fabric and routing tables. Scale shards
-    # (experiments/region_scale.py) turn this off: every attach
-    # re-snapshots the whole adjacency, so building stays quadratic in
-    # servers, and a fault-free churn benchmark never consults the
-    # fabric. With the stub, probes treat storage as always reachable
-    # and tor faults cannot be armed.
+    # (experiments/region_scale.py) turn this off: a fault-free churn
+    # benchmark never consults the fabric, and each server still costs
+    # a fabric link and its ports. With the stub, probes treat storage
+    # as always reachable and tor faults cannot be armed.
     fabric: bool = True
     migration_s: float = 2e-3     # per-guest move time during drain
     drain_retry_s: float = 5e-3   # back-off while waiting for capacity
@@ -239,6 +240,7 @@ class Region:
         self.remediation_latencies_s: List[float] = []
         self._fault_onset: Dict[str, float] = {}
         self._finalized = False
+        self._sweep_bell: Optional[Doorbell] = None
 
     # -- probes --------------------------------------------------------
     def _set_truth(self, name: str, up: Optional[bool] = None,
@@ -260,11 +262,18 @@ class Region:
 
     def _probe_loop(self):
         health = self.health
+        network = self.network
+        interval = self.spec.health.probe_interval_s
+        # The sweep parks on this while the fleet is settled.
+        bell = self._sweep_bell = Doorbell(self.sim, interval)
+        health.on_unsettle = bell.ring
+        if self.spec.fabric:
+            network.add_listener(lambda network: bell.ring())
         order = {name: i for i, name in enumerate(self._server_names)}
         swept_version = None
         while True:
             # A route change can cut any server off storage.
-            version = self.network.topology_version
+            version = network.topology_version
             if version != swept_version:
                 swept_version = version
                 for name in self._server_names:
@@ -275,23 +284,37 @@ class Region:
                     health.ingest_board_health(name, board)
                 else:
                     health.report_probe(name, self._probe_ok(name))
-            yield self.sim.timeout(self.spec.health.probe_interval_s)
+            if health.unsettled() or network.topology_version != version:
+                yield self.sim.timeout(interval)
+            else:
+                # Settled: the next sweep would probe nothing. Park
+                # until a server is unsettled or the routes change.
+                yield bell.park()
 
     # -- churn ---------------------------------------------------------
     def start(self, probes: bool = True, arrivals: bool = True) -> None:
         """Spawn the probe sweep and the arrival process.
 
-        The sweep wakes every ``probe_interval_s`` and probes, in server
-        order, only the servers :meth:`FleetHealth.unsettled` names: the
-        first sweep probes every server, later ones those whose record
-        or probe inputs changed. A skipped server's record is HEALTHY
-        with no misses and a passed last probe, and its power, board
-        verdict and routes are what that probe saw (every change goes
-        through :meth:`_set_truth` or bumps the fabric's topology
-        version), so probing it would write nothing. No simulated time
-        passes within a sweep and a probe changes only its own server's
-        record, so the sweep is exact: records, transitions and audit
-        match a sweep of every server.
+        The sweep runs on the ``probe_interval_s`` grid from its start
+        and probes, in server order, only the servers
+        :meth:`FleetHealth.unsettled` names: the first sweep probes
+        every server, later ones those whose record or probe inputs
+        changed. A skipped server's record is HEALTHY with no misses
+        and a passed last probe, and its power, board verdict and
+        routes are what that probe saw (every change goes through
+        :meth:`_set_truth` or bumps the fabric's topology version), so
+        probing it would write nothing. No simulated time passes within
+        a sweep and a probe changes only its own server's record, so
+        the sweep is exact: records, transitions and audit match a
+        sweep of every server.
+
+        A sweep that leaves every server settled parks on a
+        :class:`~repro.sim.Doorbell` instead of waking on each grid
+        tick to probe nothing. Unsettling a server and a topology
+        change ring it, and the sweep resumes on the grid tick a
+        ticking sweep would first have seen the change on. While the
+        remediation pipeline owns a server that server stays
+        unsettled, so the sweep ticks through every incident.
 
         Scale shards pass ``probes=False, arrivals=False`` and drive
         churn through an engine from :mod:`repro.fleet.churn` instead:
@@ -417,8 +440,15 @@ class Region:
         return len(plan)
 
     def _deliver(self, spec: FaultSpec):
+        # Armed ahead of time, the onset's timer is queued before the
+        # ticks of a ticking sweep after the next one (before all of
+        # them if the sweep has not started), so such a tick falling
+        # exactly on the onset already sees it.
+        posted_s = -math.inf if self._sweep_bell is None else self.sim.now
         if spec.at_s > self.sim.now:
             yield self.sim.timeout(spec.at_s - self.sim.now)
+            if self._sweep_bell is not None:
+                self._sweep_bell.ring(posted_s=posted_s)
         self.injected.append(spec)
         self.accounting.record_fault(spec.kind, spec.target)
         if spec.kind == "rack_power":

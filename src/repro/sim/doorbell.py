@@ -23,7 +23,10 @@ posted at time ``w`` is picked up at the first grid tick strictly after
 ``w``: at an exact tie the polling thread is assumed to have checked
 just before the producer posted, the conservative reading of that race
 (and, for chains of short producer timeouts, the one the event heap's
-FIFO tie-break produces).
+FIFO tie-break produces). Work queued long before it becomes visible —
+a fault timer armed in advance — runs ahead of the loop's tick event
+under that same tie-break; ``ring(posted_s=...)`` says so, and such
+work landing exactly on a tick is picked up on that tick.
 
 The doorbell lands on that chain's ticks bit for bit without replaying
 it one addition per skipped tick (:func:`_grid_tick`). Inside one
@@ -170,8 +173,19 @@ class Doorbell:
             return event
         return sim.any_of([event, self.deadline(deadline_s)])
 
-    def ring(self) -> None:
-        """Producer-side notification: schedule the parked loop's wakeup."""
+    def ring(self, posted_s: Optional[float] = None) -> None:
+        """Producer-side notification: schedule the parked loop's wakeup.
+
+        The wakeup is the busy-poll grid's first tick strictly after
+        now: a busy loop's tick event was queued one interval earlier,
+        so it runs before work made visible on that same tick by an
+        event queued since. ``posted_s`` is for work queued long
+        before it becomes visible (a fault timer armed in advance): an
+        event queued before the loop's previous tick runs ahead of that
+        tick's event, so work it makes visible exactly on a tick is
+        picked up on that tick. Work posted at the park instant itself
+        counts as queued after the park.
+        """
         sim = self.sim
         sim.stats.doorbell_rings += 1
         event = self._parked
@@ -181,11 +195,26 @@ class Doorbell:
         # The busy-poll grid's first tick strictly after now, bit for bit.
         tick, skipped = _grid_tick(self._anchor, self.interval, sim._now,
                                    strict=True)
+        if posted_s is not None:
+            tick, skipped = self._posted_tick(posted_s, tick, skipped)
         sim.stats.idle_polls_skipped += skipped
         event._ok = True
         event._value = None
         event._state = TRIGGERED
         sim._schedule_at(tick, event)
+
+    def _posted_tick(self, posted_s: float, tick: float,
+                     skipped: int) -> Tuple[float, int]:
+        """The wake tick for work posted at ``posted_s``, visible now."""
+        anchor, interval, now = self._anchor, self.interval, self.sim._now
+        if now > anchor:
+            on_tick, ahead = _grid_tick(anchor, interval, now, strict=False)
+            if on_tick == now and (
+                    posted_s < anchor
+                    or _grid_tick(anchor, interval, posted_s,
+                                  strict=True)[0] < now):
+                return on_tick, ahead
+        return tick, skipped
 
     def deadline(self, deadline_s: float) -> Event:
         """Event at the first poll-grid tick at or after ``deadline_s``.

@@ -193,7 +193,11 @@ class TestUnsettledSet:
 
     def test_record_creation_unsettles(self, health):
         assert health.unsettled() == frozenset()
+        # Queries only read; a write creates the record (here a
+        # same-state transition, which creates it and changes nothing).
         health.state("s0")
+        assert health.unsettled() == frozenset()
+        health.transition("s0", ServerHealthState.HEALTHY)
         assert health.unsettled() == {"s0"}
 
     def test_clean_probe_on_healthy_record_settles(self, health):

@@ -116,6 +116,34 @@ def test_building_a_region_runs_no_dijkstra(dijkstra_runs):
     assert dijkstra_runs == []
 
 
+def test_attach_patches_the_snapshot(monkeypatch):
+    # An attach adds one leaf link: no adjacency re-read and no
+    # neighbor-list sort, however many servers are already attached;
+    # still one version bump and one listener call each.
+    sim = Simulator(seed=0)
+    net = FabricNetwork(sim, TopologySpec.clos(n_racks=4, n_spines=2))
+    sorts, notified = [], []
+    sorted_neighbors = routing._sorted_neighbors
+    monkeypatch.setattr(
+        routing, "_sorted_neighbors",
+        lambda adjacency: sorts.append(len(adjacency))
+        or sorted_neighbors(adjacency))
+    monkeypatch.setattr(FabricNetwork, "adjacency",
+                        lambda net: pytest.fail("attach re-read the links"))
+    net.add_listener(lambda network: notified.append(
+        network.topology_version))
+    version = net.topology_version
+    for i in range(64):
+        net.attach_server(f"s{i}")
+    assert sorts == []
+    assert notified == list(range(version + 1, version + 65))
+    assert net.tables.version == net.topology_version == version + 64
+    monkeypatch.undo()
+    reference = EagerRoutingTables()
+    reference.recompute(net.adjacency(), net.topology_version)
+    _assert_tables_equal(net.tables, reference)
+
+
 def test_link_failures_without_lookups_run_no_dijkstra(dijkstra_runs):
     net = FabricNetwork(Simulator(seed=0),
                         TopologySpec.clos(n_racks=4, n_spines=2))
@@ -141,12 +169,12 @@ def test_probe_sweep_after_tor_down_runs_one_dijkstra(dijkstra_runs):
     region = _failover_region(sim)
     interval = region.spec.health.probe_interval_s
     region.start()
-    sim.run(until=2.5 * interval)  # sweeps at 0, 1 and 2 intervals
+    sim.run(until=2.5 * interval)  # one sweep at 0, then parked
     assert dijkstra_runs == [STORAGE_NODE]
     del dijkstra_runs[:]
     version = region.network.topology_version
     sim.spawn(region.network.crash_switch("tor-0", 1.0), name="t.tor_down")
-    sim.run(until=3.5 * interval)  # the next sweep
+    sim.run(until=3.5 * interval)  # the route change wakes a sweep
     assert region.network.topology_version == version + 6  # 4 hosts, 2 up
     assert dijkstra_runs == [STORAGE_NODE]
     sim.run(until=6.5 * interval)  # unchanged topology: trees reused

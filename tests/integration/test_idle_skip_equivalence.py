@@ -5,7 +5,7 @@ loop would have used, so flipping idle-skip off (the reference
 busy-poll behavior) must change *nothing observable*: same boot
 records, same final clock, same RNG consumption — only the event count
 moves. These tests run the two full-fidelity boot flows, a chaos
-campaign and the multi-queue ablation both ways and require identical
+campaign, a region campaign and the multi-queue ablation both ways and require identical
 outputs. Busy polling exists only as this reference: shipped runs
 always idle-skip, and only tests select busy polling, through
 ``set_idle_skip_default``.
@@ -14,6 +14,7 @@ always idle-skip, and only tests select busy polling, through
 import pytest
 
 from repro.chaos import CampaignRunner
+from repro.chaos.region import RegionCampaignRunner
 from repro.core import VirtServer, vm_boot_via_rings
 from repro.core.server import BmHiveServer
 from repro.experiments import mq_ablation
@@ -86,6 +87,14 @@ class TestSubsystemEquivalence:
     def test_chaos_campaign_report_identical(self, seed):
         skipped, polled = _both_modes(
             lambda: CampaignRunner().run(seed).report())
+        assert skipped == polled
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_region_campaign_report_identical(self, seed):
+        # The region's probe sweep parks on a settled fleet; busy
+        # polling ticks it every interval.
+        skipped, polled = _both_modes(
+            lambda: RegionCampaignRunner().run(seed).report_json())
         assert skipped == polled
 
     def test_mq_ablation_rows_identical(self):
